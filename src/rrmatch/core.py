@@ -122,7 +122,9 @@ class Plan:
         if assigned.size:
             if assigned.min() < 0 or assigned.max() >= pi.size:
                 raise ValueError("assigned targets out of range")
-            if np.unique(assigned).size != assigned.size:
+            seen = np.zeros(pi.size, dtype=bool)
+            seen[assigned] = True
+            if np.count_nonzero(seen) != assigned.size:
                 raise ValueError("assigned targets must be pairwise distinct")
         if not math.isfinite(self.squared_cost_sum) or self.squared_cost_sum < 0:
             raise ValueError(f"squared_cost_sum must be finite and >= 0, got {self.squared_cost_sum}")

@@ -131,19 +131,23 @@ def _pair_costs(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> np.ndarray:
 
 
 def _cycle_labels(tau: np.ndarray) -> np.ndarray:
-    """Label each index with the id of its cycle in the permutation tau."""
-    n = tau.size
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        i = start
-        while labels[i] < 0:
-            labels[i] = current
-            i = tau[i]
-        current += 1
-    return labels
+    """Label each index with the id of its cycle in the permutation tau.
+
+    Cycles are numbered 0, 1, ... in order of their smallest index.  Pointer
+    doubling: after k rounds ``low[i]`` is the smallest index among the first
+    2^k elements of i's orbit, so it settles on the cycle minimum in about
+    log2(longest cycle) rounds.
+    """
+    low = np.arange(tau.size, dtype=np.int64)
+    step = np.asarray(tau, dtype=np.int64)
+    while True:
+        nxt = np.minimum(low, low[step])
+        if np.array_equal(nxt, low):
+            break
+        low = nxt
+        step = step[step]
+    is_min = low == np.arange(tau.size)
+    return (np.cumsum(is_min) - 1)[low]
 
 
 def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:

@@ -124,6 +124,18 @@ class PartitionTree:
         return out
 
 
+def _rank_bits(n: int) -> int:
+    """Width of the rank field in the per-level sort key of :func:`build_tree`.
+
+    The key packs a dense cell id and a rank, both below n, into one int64, so
+    it needs 2 * bits <= 63, that is n <= 2**31.
+    """
+    bits = (n - 1).bit_length()
+    if 2 * bits > 63:
+        raise ValueError(f"n={n} exceeds the sort-key packing bound n <= 2**31")
+    return bits
+
+
 def build_tree(
     X: PointCloud | np.ndarray,
     depth: int,
@@ -134,6 +146,11 @@ def build_tree(
     Ties on the split coordinate break by original input index (stable sort),
     so the construction is deterministic.  Cells that reach a single point
     stop splitting; the remaining digits of their addresses are 0.
+
+    Each axis is ranked once (stable); each level then sorts one int64 key per
+    point, ``(dense cell id << bits) | rank``, with ``bits = (n-1).bit_length()``.
+    Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
+    (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
     Returns the tree and the per-point packed addresses (uint64, one word per
     point, digit s_1 in the most significant of the ``depth`` used bits).
@@ -149,45 +166,49 @@ def build_tree(
 
     n = X.n
     coords = X.coords
-    cell = np.zeros(n, dtype=np.int64)
-    codes = np.zeros(n, dtype=np.uint64)
+    bits = _rank_bits(n)
+    positions = np.arange(n, dtype=np.int64)
+    axes = [schedule.axis(h) for h in range(depth)]
+    # by_rank[a][r] is the point of stable rank r along axis a; rank[a] inverts it.
+    by_rank, rank = {}, {}
+    for a in set(axes):
+        by_rank[a] = np.argsort(coords[:, a], kind="stable")
+        rank[a] = np.empty(n, dtype=np.int64)
+        rank[a][by_rank[a]] = positions
+
+    dense = np.zeros(n, dtype=np.int64)  # per point: its cell, numbered densely in path order
+    path = np.zeros(1, dtype=np.int64)  # per dense cell: its path code
     level_cells: list[np.ndarray] = []
     level_counts: list[np.ndarray] = []
     level_split_cells: list[np.ndarray] = []
     level_thresholds: list[np.ndarray] = []
 
-    for h in range(depth):
-        axis = schedule.axis(h)
-        key = coords[:, axis]
-        order = np.lexsort((key, cell))
-        sorted_cell = cell[order]
+    for axis in axes:
+        # Unique keys sort by (cell, coordinate, input index) in one integer sort.
+        key = np.sort((dense << bits) | rank[axis])
+        order = by_rank[axis][key & ((1 << bits) - 1)]
+        sorted_dense = key >> bits
 
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        np.not_equal(sorted_cell[1:], sorted_cell[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        run_of = np.cumsum(is_start) - 1
-        sizes = np.diff(np.append(starts, n))
-
-        level_cells.append(sorted_cell[starts].copy())
-        level_counts.append(sizes.astype(np.int64))
-
+        sizes = np.bincount(dense, minlength=path.size)
+        starts = np.cumsum(sizes) - sizes
         n_left = (sizes + 1) // 2
-        pos_in_run = np.arange(n) - starts[run_of]
-        digit_sorted = pos_in_run >= n_left[run_of]
+        split = sizes >= 2
+        level_cells.append(path)
+        level_counts.append(sizes)
+        level_split_cells.append(path[split])
+        level_thresholds.append(coords[order[starts[split] + n_left[split] - 1], axis])
 
-        split_mask = sizes >= 2
-        level_split_cells.append(sorted_cell[starts[split_mask]].copy())
-        level_thresholds.append(key[order[starts[split_mask] + n_left[split_mask] - 1]].copy())
+        # Every cell keeps a left child; split cells also get a right one.
+        n_children = 1 + split
+        first_child = np.cumsum(n_children) - n_children
+        digit = positions >= (starts + n_left)[sorted_dense]
+        dense[order] = first_child[sorted_dense] + digit
+        path = np.repeat(path * 2, n_children)
+        path[first_child[split] + 1] += 1
 
-        digit = np.empty(n, dtype=np.uint64)
-        digit[order] = digit_sorted
-        codes |= np.left_shift(digit, np.uint64(depth - 1 - h))
-        cell = cell * 2 + digit.astype(np.int64)
-
-    leaf_cells, leaf_counts = np.unique(cell, return_counts=True)
-    level_cells.append(leaf_cells)
-    level_counts.append(leaf_counts.astype(np.int64))
+    level_cells.append(path)
+    level_counts.append(np.bincount(dense, minlength=path.size))
+    codes = path[dense].astype(np.uint64)
 
     tree = PartitionTree(
         depth=depth,
@@ -219,7 +240,9 @@ def tree_curve_order(
     if X.n == 1:
         return np.zeros(1, dtype=np.int64)
     _, codes = build_tree(X, full_depth(X.n), schedule)
-    return np.argsort(codes, kind="stable").astype(np.int64)
+    # Leaves are singletons at full depth, so the codes are unique and any
+    # sort kind gives the same permutation.
+    return np.argsort(codes).astype(np.int64)
 
 
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:

@@ -40,6 +40,8 @@ class TestPlan:
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ValueError, match="distinct"):
             Plan(pi=np.array([0, 0, 1]), squared_cost_sum=0.0)
+        with pytest.raises(ValueError, match="distinct"):
+            Plan(pi=np.array([2, -1, 2, -1]), squared_cost_sum=0.0)
 
     def test_partial_and_complete(self):
         partial = Plan(pi=np.array([1, -1, 0]), squared_cost_sum=0.5)

@@ -6,6 +6,7 @@ import pytest
 from rrmatch.core import CapExceededError, Plan, PointCloud, SizeMismatchError, plan_squared_cost
 from rrmatch.matching import (
     RunVariant,
+    _cycle_labels,
     exact_w2,
     hungarian,
     merge_pair,
@@ -83,6 +84,41 @@ class TestMetricAxioms:
             X, Y = _random_pair(rng, 16, 3)
             Z = PointCloud(rng.random((16, 3)))
             assert rrm_distance(X, Z) <= rrm_distance(X, Y) + rrm_distance(Y, Z) + 1e-9
+
+
+def cycle_labels_reference(tau):
+    """Walk each cycle from its smallest index; number cycles in that order."""
+    labels = [-1] * len(tau)
+    current = 0
+    for start in range(len(tau)):
+        if labels[start] >= 0:
+            continue
+        i = start
+        while labels[i] < 0:
+            labels[i] = current
+            i = int(tau[i])
+        current += 1
+    return labels
+
+
+class TestCycleLabels:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_identity_gives_one_cycle_per_index(self, n):
+        np.testing.assert_array_equal(_cycle_labels(np.arange(n)), np.arange(n))
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 1000])
+    def test_single_n_cycle(self, n):
+        tau = np.roll(np.arange(n), -1)
+        np.testing.assert_array_equal(_cycle_labels(tau), np.zeros(n, dtype=np.int64))
+
+    def test_random_permutations_match_reference(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 10, 100, 1000):
+            for _ in range(20):
+                tau = rng.permutation(n)
+                labels = _cycle_labels(tau)
+                assert labels.dtype == np.int64
+                assert labels.tolist() == cycle_labels_reference(tau)
 
 
 class TestMergePair:

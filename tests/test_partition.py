@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmatch.core import PointCloud
 from rrmatch.partition import (
     Address,
     AxisSchedule,
+    _rank_bits,
     build_tree,
     common_prefix_depth,
     empirical_threshold_vector,
@@ -15,6 +18,89 @@ from rrmatch.partition import (
 
 def _codes_as_strings(codes, depth):
     return [format(int(c), f"0{depth}b") for c in codes]
+
+
+def lexsort_build_tree(coords, depth, schedule):
+    """Reference build: one lexsort by (cell, coordinate) per level.
+
+    Returns the packed codes and the four per-level tuples of a
+    :class:`PartitionTree`, in the same dtypes.
+    """
+    n = coords.shape[0]
+    cell = np.zeros(n, dtype=np.int64)
+    codes = np.zeros(n, dtype=np.uint64)
+    cells, counts, split_cells, thresholds = [], [], [], []
+    for h in range(depth):
+        key = coords[:, schedule.axis(h)]
+        order = np.lexsort((key, cell))
+        sorted_cell = cell[order]
+
+        is_start = np.empty(n, dtype=bool)
+        is_start[0] = True
+        np.not_equal(sorted_cell[1:], sorted_cell[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        run_of = np.cumsum(is_start) - 1
+        sizes = np.diff(np.append(starts, n))
+        cells.append(sorted_cell[starts].copy())
+        counts.append(sizes.astype(np.int64))
+
+        n_left = (sizes + 1) // 2
+        digit_sorted = np.arange(n) - starts[run_of] >= n_left[run_of]
+        split = sizes >= 2
+        split_cells.append(sorted_cell[starts[split]].copy())
+        thresholds.append(key[order[starts[split] + n_left[split] - 1]].copy())
+
+        digit = np.empty(n, dtype=np.uint64)
+        digit[order] = digit_sorted
+        codes |= np.left_shift(digit, np.uint64(depth - 1 - h))
+        cell = cell * 2 + digit.astype(np.int64)
+
+    leaf_cells, leaf_counts = np.unique(cell, return_counts=True)
+    cells.append(leaf_cells)
+    counts.append(leaf_counts.astype(np.int64))
+    return codes, (tuple(cells), tuple(counts), tuple(split_cells), tuple(thresholds))
+
+
+def _assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(coords, depth, schedule):
+    tree, codes = build_tree(PointCloud(coords), depth, schedule)
+    ref_codes, ref_levels = lexsort_build_tree(coords, depth, schedule)
+    _assert_same_bytes(codes, ref_codes)
+    levels = (tree.level_cells, tree.level_counts, tree.level_split_cells, tree.level_thresholds)
+    for got, want in zip(levels, ref_levels):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bytes(a, b)
+
+
+@st.composite
+def tree_inputs(draw):
+    """Clouds with ties (duplicates, integer grids), schedules, and depths 1..63."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    d = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["uniform", "duplicates", "grid"]))
+    if kind == "uniform":
+        coords = rng.random((n, d))
+    elif kind == "duplicates":
+        base = rng.random((max(1, n // 3), d))
+        coords = base[rng.integers(0, base.shape[0], n)]
+    else:
+        coords = rng.integers(0, 3, (n, d)).astype(np.float64)
+    if draw(st.booleans()):
+        schedule = AxisSchedule.cycling(d, draw(st.integers(min_value=0, max_value=d - 1)))
+    else:
+        schedule = AxisSchedule.permuted(tuple(draw(st.permutations(range(d)))))
+    depth = draw(st.one_of(
+        st.integers(min_value=1, max_value=63),
+        st.integers(min_value=1, max_value=full_depth(n) + 2),
+    ))
+    return coords, depth, schedule
 
 
 class TestBuildTree:
@@ -84,6 +170,22 @@ class TestBuildTree:
         X = PointCloud(np.array([[0.5], [0.5]]))
         _, codes = build_tree(X, 1)
         assert list(codes) == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_inputs())
+    def test_matches_lexsort_reference_byte_for_byte(self, case):
+        _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("depth", [1, 2, 63])
+    def test_single_point_matches_lexsort_reference(self, depth):
+        _assert_matches_reference(np.array([[0.3, 0.7]]), depth, AxisSchedule.cycling(2))
+
+    def test_sort_key_packing_bound(self):
+        assert _rank_bits(1) == 0
+        assert _rank_bits(2**16) == 16
+        assert _rank_bits(2**31) == 31
+        with pytest.raises(ValueError, match=r"n=2147483649 .*n <= 2\*\*31"):
+            _rank_bits(2**31 + 1)
 
 
 class TestTreeCurveOrder:
