@@ -298,7 +298,6 @@ def cmd_plateau(args: argparse.Namespace) -> int:
     if args.family not in ("line-mixture", "opening-angle"):
         print("plateau supports --family line-mixture or opening-angle", file=sys.stderr)
         return EXIT_USAGE
-    grid = [float(g) for g in args.grid.split(",")]
     methods = args.methods.split(",")
     for m in methods:
         if m not in METHODS:
@@ -307,7 +306,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
     diag_depth = args.diag_depth or max(1, math.ceil(math.log2(max(args.n, 2))) - 3)
     cap = _exact_cap(args)
     records = []
-    for gi, g in enumerate(grid):
+    for gi, g in enumerate(args.grid):
         for rep in range(args.reps):
             cell_seed = derive_seed(args.seed, _TAG_CLI, gi, rep)
             overrides = {"frac_bads": g} if args.family == "line-mixture" else {"delta": g}
@@ -351,10 +350,11 @@ def cmd_plateau(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    n_list = [int(v) for v in args.n_list.split(",")]
     records = []
     if args.kind == "anchored":
-        result = convergence_experiment(args.d, n_list, args.reps, args.seed, depth=args.depth)
+        result = convergence_experiment(
+            args.d, args.n_list, args.reps, args.seed, depth=args.depth
+        )
         for n, mean, sd in result.rows:
             records.append({"command": "converge", "kind": "anchored", "n": n, "mean": mean,
                             "sd": sd, "d": args.d, "reps": args.reps, "seed": args.seed})
@@ -370,7 +370,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             }
         )
     else:
-        rows = threshold_consistency_experiment(args.d, args.H, n_list, args.reps, args.seed)
+        rows = threshold_consistency_experiment(args.d, args.H, args.n_list, args.reps, args.seed)
         for n, dev in rows:
             records.append({"command": "converge", "kind": "thresholds", "n": n,
                             "median_max_dev": dev, "d": args.d, "H": args.H,
@@ -380,14 +380,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    n_list = [int(v) for v in args.n_list.split(",")]
     methods = args.methods.split(",")
     for m in methods:
         if m not in METHODS:
             print(f"unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
     records = []
-    for ni, n in enumerate(n_list):
+    for ni, n in enumerate(args.n_list):
         for method in methods:
             walls = []
             histories = []
@@ -427,6 +426,49 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Argument types: a bad value fails at parse time, where argparse names the
+# flag and exits with the usage code.
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _step(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _number_list(text: str) -> list[float]:
+    try:
+        values = [float(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
+
+
+def _size_list(text: str) -> list[int]:
+    parse = _int_at_least(1)
+    return [parse(item) for item in text.split(",")]
+
 
 def _add_common(
     p: argparse.ArgumentParser, with_method: bool = True, table: bool = False
@@ -441,9 +483,10 @@ def _add_common(
                        help="cloud file format (default: infer from extension)")
     if with_method:
         p.add_argument("--method", choices=METHODS, default="srrm")
-    p.add_argument("--K", type=int, default=8, help="merge runs")
-    p.add_argument("--R", type=int, default=10, help="screening rounds")
-    p.add_argument("--anchors", type=int, default=5, help="anchors per unresolved point")
+    p.add_argument("--K", type=_int_at_least(1), default=8, help="merge runs")
+    p.add_argument("--R", type=_int_at_least(0), default=10, help="screening rounds")
+    p.add_argument("--anchors", type=_int_at_least(0), default=5,
+                   help="anchors per unresolved point")
     p.add_argument("--cap", type=int, default=None,
                    help="exact-assignment size cap (default 1024 for exact, 4096 for the "
                         "screening residual)")
@@ -492,26 +535,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fileX")
     p.add_argument("fileY")
     _add_common(p)
-    p.add_argument("--step", type=float, default=0.15)
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=10)
+    p.add_argument("--step", type=_step, default=0.15)
+    p.add_argument("--iterations", type=_int_at_least(1), default=100)
+    p.add_argument("--snapshot-every", dest="snapshot_every", type=_int_at_least(1), default=10)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("plateau", help="bias-floor table over a generator grid")
     _add_generator_params(p)
     _add_common(p, table=True)
-    p.add_argument("--grid", required=True, help="comma-separated grid values")
+    p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")
     p.add_argument("--methods", default="rrm,merged,srrm")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_int_at_least(1), default=1)
     p.add_argument("--diag-depth", dest="diag_depth", type=int, default=None)
     p.set_defaults(func=cmd_plateau)
 
     p = sub.add_parser("converge", help="statistical convergence experiments")
     p.add_argument("--kind", choices=("anchored", "thresholds"), default="anchored")
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--n-list", dest="n_list", default="256,512,1024")
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--n-list", dest="n_list", type=_size_list, default=[256, 512, 1024])
+    p.add_argument("--reps", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--H", type=int, default=3, help="tree depth for the thresholds kind")
     p.add_argument("--depth", type=int, default=40, help="address depth for the anchored kind")
@@ -522,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock table over an n grid")
     _add_generator_params(p)
     _add_common(p, with_method=False, table=True)
-    p.add_argument("--n-list", dest="n_list", required=True)
+    p.add_argument("--n-list", dest="n_list", type=_size_list, required=True)
     p.add_argument("--methods", default="rrm,merged,srrm")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_bench)
 
     return parser

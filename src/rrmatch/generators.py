@@ -1,8 +1,10 @@
 """Synthetic instance generators for the experiment runners.
 
-All families emit float64 clouds in (or clipped to) the unit box, fully
-determined by the generator parameters and seed.  Pair families return
-(X, Y); uniform-box returns a single cloud.
+All families emit float64 clouds fully determined by the generator
+parameters and seed.  Every family stays in (or is clipped to) the unit box,
+except the Y cloud of perturbed-copy, which is not clipped and leaves the box
+for any alpha > 0.  Pair families return (X, Y); uniform-box returns a single
+cloud.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class GeneratorSpec:
     opening-angle: two segments through the center at slope -1 opened
     symmetrically by ``delta`` radians.
 
-    perturbed-copy: X uniform in the box, Y = X + alpha * standard normal.
+    perturbed-copy: X uniform in the box, Y = X + alpha * standard normal,
+    unclipped, so for alpha > 0 points of Y fall outside the unit box.
     """
 
     family: str

@@ -127,13 +127,32 @@ class PartitionTree:
 def _rank_bits(n: int) -> int:
     """Width of the rank field in the per-level sort key of :func:`build_tree`.
 
-    The key packs a dense cell id and a rank, both below n, into one int64, so
+    The key packs a cell index and a rank, both below n, into one int64, so
     it needs 2 * bits <= 63, that is n <= 2**31.
     """
     bits = (n - 1).bit_length()
     if 2 * bits > 63:
         raise ValueError(f"n={n} exceeds the sort-key packing bound n <= 2**31")
     return bits
+
+
+def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
+    """The permutation ``np.argsort(c, kind="stable")``, via an unstable sort.
+
+    ``bits`` is :func:`_rank_bits` of ``c.size``.  The unstable (SIMD) argsort
+    may scramble runs of equal values; if any exist, one integer sort of
+    ``(tie group << bits) | index`` puts each run back in index order.  Ties
+    are decided by ``==``, so ``-0.0`` and ``0.0`` share a group, as they do
+    under a stable sort.
+    """
+    order = np.argsort(c)
+    sorted_c = c[order]
+    tied = sorted_c[1:] == sorted_c[:-1]
+    if not tied.any():
+        return order
+    group = np.zeros(c.size, dtype=np.int64)
+    np.cumsum(~tied, out=group[1:])
+    return np.sort((group << bits) | order) & ((1 << bits) - 1)
 
 
 def build_tree(
@@ -147,10 +166,19 @@ def build_tree(
     so the construction is deterministic.  Cells that reach a single point
     stop splitting; the remaining digits of their addresses are 0.
 
-    Each axis is ranked once (stable); each level then sorts one int64 key per
-    point, ``(dense cell id << bits) | rank``, with ``bits = (n-1).bit_length()``.
-    Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
-    (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
+    Each scheduled axis is ranked once (:func:`_stable_order`), and one table
+    per consecutive axis pair maps a point's rank along one axis to its rank
+    along the next.  The loop keeps each point's rank along the current axis,
+    points grouped by cell and cells in path order, plus each cell's size and
+    path code.  A level moves the ranks to its axis and sorts one integer key
+    per point, ``(cell index << bits) | rank`` with ``bits = (n-1).bit_length()``
+    (uint32 while ``2 * bits <= 32``, else int64).  The first ``ceil(size/2)``
+    points of each sorted cell form its left child, so the children's sizes
+    and paths follow from the parents' alone.  Level 0 (one cell) is already
+    in rank order, and once every cell is a singleton the sort is skipped.
+    Addresses are written once, at the end.  Bounds: ``depth <= MAX_DEPTH``
+    (the address packing) and ``n <= 2**31`` (the key needs
+    ``2 * bits <= 63``); past either a ValueError is raised.
 
     Returns the tree and the per-point packed addresses (uint64, one word per
     point, digit s_1 in the most significant of the ``depth`` used bits).
@@ -167,48 +195,60 @@ def build_tree(
     n = X.n
     coords = X.coords
     bits = _rank_bits(n)
-    positions = np.arange(n, dtype=np.int64)
+    mask = (1 << bits) - 1
+    # Keys below 2**32 sort about twice as fast as int64 keys.
+    key_dtype = np.uint32 if 2 * bits <= 32 else np.int64
     axes = [schedule.axis(h) for h in range(depth)]
-    # by_rank[a][r] is the point of stable rank r along axis a; rank[a] inverts it.
-    by_rank, rank = {}, {}
-    for a in set(axes):
-        by_rank[a] = np.argsort(coords[:, a], kind="stable")
-        rank[a] = np.empty(n, dtype=np.int64)
-        rank[a][by_rank[a]] = positions
+    # by_rank[a][r] is the point of stable rank r along axis a.
+    by_rank = {a: _stable_order(coords[:, a], bits) for a in set(axes)}
+    # moves[a, b][r] is the rank along axis b of the point of rank r along axis a.
+    moves = {}
+    for a, b in set(zip(axes, axes[1:])):
+        rank_b = np.empty(n, dtype=key_dtype)
+        rank_b[by_rank[b]] = np.arange(n, dtype=key_dtype)
+        moves[a, b] = rank_b[by_rank[a]]
 
-    dense = np.zeros(n, dtype=np.int64)  # per point: its cell, numbered densely in path order
-    path = np.zeros(1, dtype=np.int64)  # per dense cell: its path code
+    # Per point, grouped by cell with cells in path order: its rank along the
+    # current axis.  Level 0 has one cell, already in rank order.
+    ranks = np.arange(n, dtype=key_dtype)
+    sizes = np.full(1, n, dtype=np.int64)  # per cell: its point count
+    path = np.zeros(1, dtype=np.int64)  # per cell: its path code
     level_cells: list[np.ndarray] = []
     level_counts: list[np.ndarray] = []
     level_split_cells: list[np.ndarray] = []
     level_thresholds: list[np.ndarray] = []
 
-    for axis in axes:
-        # Unique keys sort by (cell, coordinate, input index) in one integer sort.
-        key = np.sort((dense << bits) | rank[axis])
-        order = by_rank[axis][key & ((1 << bits) - 1)]
-        sorted_dense = key >> bits
+    for h, axis in enumerate(axes):
+        if h > 0:
+            ranks = np.take(moves[axes[h - 1], axis], ranks)
+            if path.size < n:
+                # Unique keys sort by (cell, coordinate, input index) in one integer sort.
+                key = np.repeat(np.arange(path.size, dtype=key_dtype), sizes) << bits
+                key |= ranks
+                key.sort()
+                key &= mask
+                ranks = key
 
-        sizes = np.bincount(dense, minlength=path.size)
         starts = np.cumsum(sizes) - sizes
         n_left = (sizes + 1) // 2
         split = sizes >= 2
         level_cells.append(path)
         level_counts.append(sizes)
         level_split_cells.append(path[split])
-        level_thresholds.append(coords[order[starts[split] + n_left[split] - 1], axis])
+        last_left = by_rank[axis][ranks[starts[split] + n_left[split] - 1]]
+        level_thresholds.append(coords[last_left, axis])
 
-        # Every cell keeps a left child; split cells also get a right one.
-        n_children = 1 + split
-        first_child = np.cumsum(n_children) - n_children
-        digit = positions >= (starts + n_left)[sorted_dense]
-        dense[order] = first_child[sorted_dense] + digit
-        path = np.repeat(path * 2, n_children)
-        path[first_child[split] + 1] += 1
+        # The first ceil(size/2) points of a cell form its left child, which
+        # every cell keeps; split cells also get a right child.
+        children = np.stack((n_left, sizes - n_left), axis=1).ravel()
+        kept = children > 0
+        sizes = children[kept]
+        path = np.stack((path * 2, path * 2 + 1), axis=1).ravel()[kept]
 
     level_cells.append(path)
-    level_counts.append(np.bincount(dense, minlength=path.size))
-    codes = path[dense].astype(np.uint64)
+    level_counts.append(sizes)
+    codes = np.empty(n, dtype=np.uint64)
+    codes[by_rank[axes[-1]][ranks]] = np.repeat(path, sizes)
 
     tree = PartitionTree(
         depth=depth,

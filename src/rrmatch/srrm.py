@@ -24,6 +24,7 @@ from rrmatch.core import (
     _as_cloud,
     derive_rng,
     derive_seed,
+    plan_squared_cost,
 )
 from rrmatch.matching import _check_pair, hungarian, merged_rrm, squared_distance_matrix
 
@@ -232,7 +233,7 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
     residual = int(state.unresolved_x.size)
     partial = Plan(
         pi=state.pi,
-        squared_cost_sum=_partial_cost(X, Y, state.pi),
+        squared_cost_sum=plan_squared_cost(X, Y, state.pi),
     )
     plan = finalize_hungarian(X, Y, partial, cfg.hungarian_cap)
 
@@ -250,11 +251,3 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
         residual=residual,
         guard_applied=guard_applied,
     )
-
-
-def _partial_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
-    mask = pi != UNASSIGNED
-    if not mask.any():
-        return 0.0
-    diff = X.coords[mask] - Y.coords[pi[mask]]
-    return float(np.einsum("ij,ij->", diff, diff))

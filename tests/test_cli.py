@@ -97,6 +97,25 @@ class TestDistance:
         assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (("plateau", "--family", "line-mixture", "--grid", "a,b"), "--grid"),
+        (("distance", "{x}", "{y}", "--method", "merged", "--K", 0), "--K"),
+        (("distance", "{x}", "{y}", "--method", "srrm", "--R", -1), "--R"),
+        (("distance", "{x}", "{y}", "--anchors", -1), "--anchors"),
+        (("flow", "{x}", "{y}", "--step", 0, "--outdir", "o"), "--step"),
+        (("flow", "{x}", "{y}", "--snapshot-every", 0, "--outdir", "o"), "--snapshot-every"),
+        (("converge", "--n-list", "64,0"), "--n-list"),
+        (("bench", "--n-list", "64", "--reps", 0), "--reps"),
+    ])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, pair_files, capsys, argv, flag):
+        x, y = pair_files
+        with pytest.raises(SystemExit) as exc:
+            run(*(str(a).format(x=x, y=y) for a in argv))
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
 class TestMatch:
     def test_identity_instance(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

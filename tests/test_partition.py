@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmatch.core import PointCloud
+from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.partition import (
     Address,
     AxisSchedule,
     _rank_bits,
+    _stable_order,
     build_tree,
     common_prefix_depth,
     empirical_threshold_vector,
@@ -77,21 +81,38 @@ def _assert_matches_reference(coords, depth, schedule):
             _assert_same_bytes(a, b)
 
 
+def _tied_coords(kind, rng, n, d):
+    """Clouds whose ties the ranking must break by input index."""
+    if kind == "clipped":  # like gaussian-pair: many coordinates exactly 0.0 or 1.0
+        return np.clip(rng.normal(0.5, 0.5, (n, d)), 0.0, 1.0)
+    if kind == "signed_zero":  # -0.0 == 0.0, so they tie
+        coords = rng.choice([-0.0, 0.0, 0.5], size=(n, d))
+        return np.where(rng.random((n, d)) < 0.2, rng.random((n, d)), coords)
+    coords = rng.random((n, d))  # "constant": one column holds a single value
+    coords[:, rng.integers(0, d)] = 0.25
+    return coords
+
+
 @st.composite
 def tree_inputs(draw):
-    """Clouds with ties (duplicates, integer grids), schedules, and depths 1..63."""
+    """Clouds with ties (duplicates, integer grids, clipping, signed zeros,
+    a constant column), schedules, and depths 1..63."""
     n = draw(st.integers(min_value=1, max_value=80))
     d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    kind = draw(st.sampled_from(["uniform", "duplicates", "grid"]))
+    kind = draw(st.sampled_from(
+        ["uniform", "duplicates", "grid", "clipped", "signed_zero", "constant"]
+    ))
     if kind == "uniform":
         coords = rng.random((n, d))
     elif kind == "duplicates":
         base = rng.random((max(1, n // 3), d))
         coords = base[rng.integers(0, base.shape[0], n)]
-    else:
+    elif kind == "grid":
         coords = rng.integers(0, 3, (n, d)).astype(np.float64)
+    else:
+        coords = _tied_coords(kind, rng, n, d)
     if draw(st.booleans()):
         schedule = AxisSchedule.cycling(d, draw(st.integers(min_value=0, max_value=d - 1)))
     else:
@@ -180,12 +201,35 @@ class TestBuildTree:
     def test_single_point_matches_lexsort_reference(self, depth):
         _assert_matches_reference(np.array([[0.3, 0.7]]), depth, AxisSchedule.cycling(2))
 
+    @pytest.mark.parametrize("n", [4097, 6000, 65536, 65537])
+    def test_matches_lexsort_reference_at_scale(self, n):
+        # Wide rank fields, both key widths (2 * bits <= 32 and above), the
+        # tie repair, and the singleton skip over the two levels past full depth.
+        coords = _tied_coords("clipped", np.random.default_rng(n), n, 3)
+        _assert_matches_reference(coords, full_depth(n) + 2, AxisSchedule.cycling(3))
+
     def test_sort_key_packing_bound(self):
         assert _rank_bits(1) == 0
         assert _rank_bits(2**16) == 16
         assert _rank_bits(2**31) == 31
         with pytest.raises(ValueError, match=r"n=2147483649 .*n <= 2\*\*31"):
             _rank_bits(2**31 + 1)
+
+
+class TestStableOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, -2.5, 1e-300]), min_size=1, max_size=60)
+        | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60)
+    )
+    def test_matches_stable_argsort(self, values):
+        c = np.array(values, dtype=np.float64)
+        _assert_same_bytes(_stable_order(c, _rank_bits(c.size)), np.argsort(c, kind="stable"))
+
+    @pytest.mark.parametrize("kind", ["clipped", "signed_zero", "constant"])
+    def test_matches_stable_argsort_at_scale(self, kind):
+        c = _tied_coords(kind, np.random.default_rng(11), 6000, 1)[:, 0]
+        _assert_same_bytes(_stable_order(c, _rank_bits(c.size)), np.argsort(c, kind="stable"))
 
 
 class TestTreeCurveOrder:
@@ -207,6 +251,21 @@ class TestTreeCurveOrder:
     def test_square_visits_columns(self):
         X = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
         np.testing.assert_array_equal(tree_curve_order(X), [0, 2, 1, 3])
+
+    @pytest.mark.parametrize("spec, which, digest", [
+        (GeneratorSpec("uniform-box", n=4096, d=3, seed=12), 0,
+         "474043466433c3bc0336a8da1d4a3b56d839870e3cc7d633ca921b0a2d54fa5e"),
+        # Y of a t=0 pair: about 300 coordinates per axis clipped to exactly 0.0.
+        (GeneratorSpec("gaussian-pair", n=2000, t=0.0, seed=12), 1,
+         "3520b49fe5befc31c159199bb0a94a8f05c96077a3b8b244f530402c96ba4e00"),
+    ])
+    def test_order_is_pinned(self, spec, which, digest):
+        # Any change to the ordering kernel must keep this order.  Only the
+        # unrotated (identity) schedule is pinned: rotations go through a
+        # BLAS-dependent QR.
+        order = tree_curve_order(gen(spec)[which])
+        assert order.dtype == np.int64
+        assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_start_axis_changes_order(self):
         X = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
