@@ -9,7 +9,6 @@ the last-mile / convergence diagnostics.
 
 from rrmatch.core import (
     UNASSIGNED,
-    AffineMap,
     CapExceededError,
     DataFormatError,
     InvalidCloudError,
@@ -36,24 +35,20 @@ from rrmatch.diagnostics import (
     threshold_consistency_experiment,
 )
 from rrmatch.matching import (
-    CostKind,
     RunVariant,
     exact_w2,
     hungarian,
     merge_pair,
     merged_rrm,
-    plan_value,
     rrm_distance,
     rrm_plan,
     squared_distance_matrix,
 )
 from rrmatch.partition import (
-    Address,
     AxisSchedule,
-    PartitionTree,
     build_tree,
     common_prefix_depth,
-    empirical_threshold_vector,
+    split_thresholds,
     tree_curve_order,
 )
 from rrmatch.srrm import (
@@ -69,16 +64,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UNASSIGNED",
-    "AffineMap",
-    "Address",
     "AxisSchedule",
     "CapExceededError",
-    "CostKind",
     "DataFormatError",
     "InvalidCloudError",
     "LastMileParams",
     "LastMileReport",
-    "PartitionTree",
     "Plan",
     "PointCloud",
     "RunVariant",
@@ -93,7 +84,6 @@ __all__ = [
     "convergence_experiment",
     "derive_rng",
     "derive_seed",
-    "empirical_threshold_vector",
     "exact_w2",
     "finalize_hungarian",
     "hungarian",
@@ -103,7 +93,6 @@ __all__ = [
     "nn_baseline",
     "normalize_unit_box",
     "plan_squared_cost",
-    "plan_value",
     "plateau_decomposition",
     "premature_set",
     "rrm_distance",
@@ -112,6 +101,7 @@ __all__ = [
     "save_point_cloud",
     "select",
     "squared_distance_matrix",
+    "split_thresholds",
     "srrm_match",
     "threshold_consistency_experiment",
     "tree_curve_order",

@@ -27,6 +27,7 @@ from rrmatch.core import (
     Plan,
     PointCloud,
     SizeMismatchError,
+    _check_pair,
     derive_seed,
     load_point_cloud,
     normalize_unit_box,
@@ -41,6 +42,7 @@ from rrmatch.diagnostics import (
 )
 from rrmatch.generators import FAMILIES, GeneratorSpec, gen
 from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_plan, squared_distance_matrix
+from rrmatch.partition import MAX_DEPTH
 from rrmatch.srrm import SrrmConfig, srrm_match
 
 EXIT_OK = 0
@@ -112,20 +114,13 @@ def _screening_cap(args: argparse.Namespace) -> int:
 
 
 def _load_pair(file_x: str, file_y: str, fmt: str | None) -> tuple[PointCloud, PointCloud]:
-    X = load_point_cloud(file_x, fmt)
-    Y = load_point_cloud(file_y, fmt)
-    if X.n != Y.n:
-        raise SizeMismatchError(f"clouds must have equal size, got {X.n} and {Y.n}")
-    if X.d != Y.d:
-        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
-    return X, Y
+    return _check_pair(load_point_cloud(file_x, fmt), load_point_cloud(file_y, fmt))
 
 
 def _maybe_normalize(X: PointCloud, Y: PointCloud, mode: str) -> tuple[PointCloud, PointCloud]:
     if mode == "none":
         return X, Y
-    Xn, Yn, _ = normalize_unit_box(X, Y, mode)
-    return Xn, Yn
+    return normalize_unit_box(X, Y, mode)
 
 
 def _srrm_config(args: argparse.Namespace) -> SrrmConfig:
@@ -169,12 +164,16 @@ def _plan_for_method(
 # ---------------------------------------------------------------------------
 
 
-def _spec_from_args(args: argparse.Namespace, seed: int | None = None) -> GeneratorSpec:
+#: The generator parameter each plateau family sweeps with --grid.
+_GRID_FIELDS = {"line-mixture": "frac_bads", "opening-angle": "delta"}
+
+
+def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
     return GeneratorSpec(
         family=args.family,
         n=args.n,
         d=args.d,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         t=args.t,
         sigma=args.sigma,
         frac_bads=args.frac_bads,
@@ -186,7 +185,7 @@ def _spec_from_args(args: argparse.Namespace, seed: int | None = None) -> Genera
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = args.spec
     X, Y = gen(spec)
     if Y is not None and not args.out2:
         print(f"family {spec.family!r} produces a pair; pass --out2", file=sys.stderr)
@@ -295,7 +294,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_plateau(args: argparse.Namespace) -> int:
-    if args.family not in ("line-mixture", "opening-angle"):
+    if args.family not in _GRID_FIELDS:
         print("plateau supports --family line-mixture or opening-angle", file=sys.stderr)
         return EXIT_USAGE
     methods = args.methods.split(",")
@@ -306,12 +305,10 @@ def cmd_plateau(args: argparse.Namespace) -> int:
     diag_depth = args.diag_depth or max(1, math.ceil(math.log2(max(args.n, 2))) - 3)
     cap = _exact_cap(args)
     records = []
-    for gi, g in enumerate(args.grid):
+    for gi, (g, grid_spec) in enumerate(zip(args.grid, args.grid_specs)):
         for rep in range(args.reps):
             cell_seed = derive_seed(args.seed, _TAG_CLI, gi, rep)
-            overrides = {"frac_bads": g} if args.family == "line-mixture" else {"delta": g}
-            spec = dataclasses.replace(_spec_from_args(args, seed=cell_seed), **overrides)
-            X, Y = gen(spec)
+            X, Y = gen(dataclasses.replace(grid_spec, seed=cell_seed))
             exact_value = exact_w2(X, Y, cap) if X.n <= cap else None
             for method in methods:
                 t0 = time.perf_counter()
@@ -392,7 +389,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             histories = []
             for rep in range(args.reps):
                 cell_seed = derive_seed(args.seed, _TAG_CLI, ni, rep)
-                spec = dataclasses.replace(_spec_from_args(args, seed=cell_seed), n=n)
+                spec = dataclasses.replace(args.spec, seed=cell_seed, n=n)
                 X, Y = gen(spec)
                 if Y is None:
                     second = dataclasses.replace(spec, seed=derive_seed(cell_seed, 1))
@@ -430,7 +427,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # flag and exits with the usage code.
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -438,6 +435,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -487,7 +486,7 @@ def _add_common(
     p.add_argument("--R", type=_int_at_least(0), default=10, help="screening rounds")
     p.add_argument("--anchors", type=_int_at_least(0), default=5,
                    help="anchors per unresolved point")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_int_at_least(0), default=None,
                    help="exact-assignment size cap (default 1024 for exact, 4096 for the "
                         "screening residual)")
     p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
@@ -495,8 +494,8 @@ def _add_common(
 
 def _add_generator_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=FAMILIES, default="uniform-box")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=1024)
+    p.add_argument("--d", type=_int_at_least(1), default=2)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--frac-bads", dest="frac_bads", type=float, default=0.0)
@@ -547,17 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")
     p.add_argument("--methods", default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
-    p.add_argument("--diag-depth", dest="diag_depth", type=int, default=None)
+    p.add_argument("--diag-depth", dest="diag_depth", type=_int_at_least(1, MAX_DEPTH),
+                   default=None)
     p.set_defaults(func=cmd_plateau)
 
     p = sub.add_parser("converge", help="statistical convergence experiments")
     p.add_argument("--kind", choices=("anchored", "thresholds"), default="anchored")
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=_int_at_least(1), default=1)
     p.add_argument("--n-list", dest="n_list", type=_size_list, default=[256, 512, 1024])
     p.add_argument("--reps", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--H", type=int, default=3, help="tree depth for the thresholds kind")
-    p.add_argument("--depth", type=int, default=40, help="address depth for the anchored kind")
+    p.add_argument("--H", type=_int_at_least(1, 40), default=3,
+                   help="tree depth for the thresholds kind")
+    p.add_argument("--depth", type=_int_at_least(1, 40), default=40,
+                   help="address depth for the anchored kind")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=cmd_converge)
@@ -578,6 +580,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "match" and not args.out:
         parser.error("match requires --out for the permutation file")
+    if args.command in ("gen", "plateau", "bench"):
+        # Built once here, so that a generator parameter out of range is a usage error.
+        try:
+            args.spec = _spec_from_args(args)
+            if args.command == "plateau" and args.family in _GRID_FIELDS:
+                field = _GRID_FIELDS[args.family]
+                args.grid_specs = [dataclasses.replace(args.spec, **{field: g}) for g in args.grid]
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -137,10 +137,6 @@ class Plan:
         return self.pi.size
 
     @property
-    def assigned_mask(self) -> np.ndarray:
-        return self.pi != UNASSIGNED
-
-    @property
     def is_complete(self) -> bool:
         return bool((self.pi != UNASSIGNED).all())
 
@@ -158,85 +154,69 @@ class Plan:
         return inv
 
 
+def _check_pair(
+    X: PointCloud | np.ndarray, Y: PointCloud | np.ndarray, equal_size: bool = True
+) -> tuple[PointCloud, PointCloud]:
+    """Both inputs as clouds; SizeMismatchError unless their dimensions agree,
+    and with ``equal_size`` also their sizes."""
+    X, Y = _as_cloud(X), _as_cloud(Y)
+    if X.d != Y.d:
+        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
+    if equal_size and X.n != Y.n:
+        raise SizeMismatchError(f"clouds must have equal size, got {X.n} and {Y.n}")
+    return X, Y
+
+
+def _pair_costs(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Per-row squared distances ``||x[i] - y[pi[i]]||^2`` of a complete assignment."""
+    diff = x - y[pi]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
     """Recompute the squared-cost sum of a (partial) assignment from scratch."""
     X, Y = _as_cloud(X), _as_cloud(Y)
     pi = np.asarray(pi, dtype=np.int64)
-    mask = pi != UNASSIGNED
-    if not mask.any():
-        return 0.0
-    diff = X.coords[mask] - Y.coords[pi[mask]]
+    diff = X.coords - Y.coords[pi]
+    diff[pi == UNASSIGNED] = 0.0
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Per-axis affine map x' = (x - lo) / scale, with degenerate axes pinned.
+def _to_unit_box(coords: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """Map coords by the per-axis affine map taking ``fitted``'s range onto [0, 1].
 
-    Axes with ``scale == 0`` (max == min in the fitted data) map to 0.5 and
-    invert back to ``lo``.
+    Axes on which ``fitted`` is constant map to 0.5.
     """
-
-    lo: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.float64)
-        out = np.empty_like(coords)
-        degenerate = self.scale == 0.0
-        safe = np.where(degenerate, 1.0, self.scale)
-        out[:] = (coords - self.lo) / safe
-        out[:, degenerate] = 0.5
-        return out
-
-    def invert(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.float64)
-        degenerate = self.scale == 0.0
-        out = coords * np.where(degenerate, 0.0, self.scale) + self.lo
-        out[:, degenerate] = self.lo[degenerate]
-        return out
-
-    @property
-    def is_identity(self) -> bool:
-        return bool((self.lo == 0.0).all() and (self.scale == 1.0).all())
-
-
-def _fit_map(coords: np.ndarray) -> AffineMap:
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    return AffineMap(lo=lo, scale=hi - lo)
+    lo = fitted.min(axis=0)
+    scale = fitted.max(axis=0) - lo
+    degenerate = scale == 0.0
+    out = (coords - lo) / np.where(degenerate, 1.0, scale)
+    out[:, degenerate] = 0.5
+    return out
 
 
 def normalize_unit_box(
     X: PointCloud,
     Y: PointCloud,
     mode: str = "joint",
-) -> tuple[PointCloud, PointCloud, tuple[AffineMap, AffineMap]]:
+) -> tuple[PointCloud, PointCloud]:
     """Rescale both clouds into the unit box [0, 1]^d.
 
     In ``joint`` mode a single per-axis affine map is fitted on the union of
     both clouds and applied to each, preserving the relative geometry the
     distance depends on.  In ``per-cloud`` mode each cloud is fitted and mapped
     independently (replication studies only).  Degenerate axes map to 0.5.
-
-    Returns the normalized clouds and the pair of maps (identical objects in
-    joint mode) for inverse transformation.
+    Plans are index maps, so they carry over to the original clouds unchanged.
     """
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
+    X, Y = _check_pair(X, Y, equal_size=False)
     if mode == "joint":
-        amap = _fit_map(np.vstack([X.coords, Y.coords]))
-        maps = (amap, amap)
+        both = np.vstack([X.coords, Y.coords])
+        fits = (both, both)
     elif mode == "per-cloud":
-        maps = (_fit_map(X.coords), _fit_map(Y.coords))
+        fits = (X.coords, Y.coords)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'joint' or 'per-cloud'")
-    return (
-        PointCloud(maps[0].apply(X.coords)),
-        PointCloud(maps[1].apply(Y.coords)),
-        maps,
-    )
+    return PointCloud(_to_unit_box(X.coords, fits[0])), PointCloud(_to_unit_box(Y.coords, fits[1]))
 
 
 def _infer_format(path: Path, format: str | None) -> str:

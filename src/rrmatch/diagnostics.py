@@ -23,8 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from rrmatch.core import Plan, PointCloud, RngSeed, SizeMismatchError, _as_cloud, derive_rng
-from rrmatch.partition import MAX_DEPTH, build_tree, common_prefix_depth
+from rrmatch.core import (
+    Plan,
+    PointCloud,
+    RngSeed,
+    SizeMismatchError,
+    _as_cloud,
+    _check_pair,
+    _pair_costs,
+    derive_rng,
+)
+from rrmatch.partition import MAX_DEPTH, build_tree, common_prefix_depth, split_thresholds
 
 _TAG_CONVERGENCE = 4
 _TAG_THRESHOLDS = 5
@@ -42,15 +51,12 @@ def _nn_partners(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor in y for each row of x: (squared distances, indices)."""
     _, idx = cKDTree(y).query(x, k=1)
     idx = np.asarray(idx, dtype=np.int64)
-    diff = x - y[idx]
-    return np.einsum("ij,ij->i", diff, diff), idx
+    return _pair_costs(x, y, idx), idx
 
 
 def nn_baseline(X: PointCloud, Y: PointCloud) -> np.ndarray:
     """Distance from each point of X to its nearest neighbor in Y."""
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
+    X, Y = _check_pair(X, Y, equal_size=False)
     sq, _ = _nn_partners(X.coords, Y.coords)
     return np.sqrt(sq)
 
@@ -133,9 +139,7 @@ def premature_set(
     a single tree built on the union.  Returns the bad index set and its
     fraction of |X|.
     """
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
+    X, Y = _check_pair(X, Y, equal_size=False)
     x, y = _centered(X, Y)
     _, _, bad = _premature_core(x, y, params)
     return bad, bad.size / X.n
@@ -168,9 +172,7 @@ def plateau_decomposition(
     the origin, so the report isolates shape mismatch from any net offset
     between the clouds.
     """
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d or X.n != Y.n:
-        raise SizeMismatchError("plateau_decomposition requires equal-size, equal-d clouds")
+    X, Y = _check_pair(X, Y)
     if not plan.is_complete:
         raise ValueError("plateau_decomposition requires a complete plan")
     if plan.n != X.n:
@@ -179,8 +181,7 @@ def plateau_decomposition(
     x, y = _centered(X, Y)
     delta_sq, _, bad = _premature_core(x, y, params)
 
-    diff = x - y[plan.pi]
-    cost = np.einsum("ij,ij->i", diff, diff)
+    cost = _pair_costs(x, y, plan.pi)
     gamma = np.maximum(cost - delta_sq, 0.0)
 
     n = X.n
@@ -406,9 +407,8 @@ def threshold_consistency_experiment(
         devs = np.empty(reps)
         for rep in range(reps):
             rng = derive_rng(seed, _TAG_THRESHOLDS, i, rep)
-            tree, _ = build_tree(PointCloud(rng.random((n, d))), depth)
             worst = 0.0
-            for h, k, m in tree.threshold_vector():
+            for h, k, m in split_thresholds(PointCloud(rng.random((n, d))), depth):
                 worst = max(worst, abs(m - reference[(h, k)]))
             devs[rep] = worst
         rows.append((int(n), float(np.median(devs))))

@@ -9,7 +9,6 @@ evaluated in the original coordinates.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,14 +17,16 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from rrmatch.core import (
-    UNASSIGNED,
     CapExceededError,
     Plan,
     PointCloud,
     RngSeed,
     SizeMismatchError,
     _as_cloud,
+    _check_pair,
+    _pair_costs,
     derive_rng,
+    plan_squared_cost,
 )
 from rrmatch.partition import AxisSchedule, tree_curve_order
 
@@ -35,34 +36,16 @@ _ORTHOGONALITY_TOL = 1e-10
 _TAG_VARIANT = 1
 
 
-class CostKind(enum.Enum):
-    """Reporting convention for a plan's squared-Euclidean cost.
-
-    The exponent is fixed at 2; RMS is sqrt(sum-of-squares / n).
-    """
-
-    RMS = "rms"
-    SUM_OF_SQUARES = "sum-of-squares"
-
-
-def plan_value(plan: Plan, kind: CostKind = CostKind.RMS) -> float:
-    """A plan's cost under the chosen reporting convention."""
-    if kind is CostKind.SUM_OF_SQUARES:
-        return plan.squared_cost_sum
-    return plan.rms
-
-
 @dataclass(frozen=True)
 class RunVariant:
     """One randomized run: a rotation shared by both clouds plus a schedule.
 
     The identity variant (identity rotation, cycling schedule from axis 0)
-    reproduces the canonical plan.  ``seed`` records provenance only.
+    reproduces the canonical plan.
     """
 
     rotation: np.ndarray
     schedule: AxisSchedule
-    seed: RngSeed | None = None
 
     def __post_init__(self) -> None:
         rot = np.asarray(self.rotation, dtype=np.float64)
@@ -87,16 +70,7 @@ class RunVariant:
         q, r = np.linalg.qr(normals)
         q = q * np.sign(np.diag(r))  # sign correction makes QR output unique
         start = int(rng.integers(d))
-        return cls(rotation=q, schedule=AxisSchedule.cycling(d, start), seed=seed)
-
-
-def _check_pair(X: PointCloud, Y: PointCloud) -> tuple[PointCloud, PointCloud]:
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise SizeMismatchError(f"dimension mismatch: {X.d} != {Y.d}")
-    if X.n != Y.n:
-        raise SizeMismatchError(f"clouds must have equal size, got {X.n} and {Y.n}")
-    return X, Y
+        return cls(rotation=q, schedule=AxisSchedule.cycling(d, start))
 
 
 def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) -> Plan:
@@ -115,19 +89,12 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
     order_y = tree_curve_order(yr, variant.schedule)
     pi = np.empty(X.n, dtype=np.int64)
     pi[order_x] = order_y
-    diff = X.coords - Y.coords[pi]
-    cost = float(np.einsum("ij,ij->", diff, diff))
-    return Plan(pi=pi, squared_cost_sum=cost)
+    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
 
 
 def rrm_distance(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) -> float:
     """Root-mean-square cost of :func:`rrm_plan`."""
     return rrm_plan(X, Y, variant).rms
-
-
-def _pair_costs(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> np.ndarray:
-    diff = X.coords - Y.coords[pi]
-    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _cycle_labels(tau: np.ndarray) -> np.ndarray:
@@ -169,8 +136,8 @@ def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
     labels = _cycle_labels(tau)
     n_cycles = int(labels.max()) + 1
 
-    cost_p = _pair_costs(X, Y, p.pi)
-    cost_q = _pair_costs(X, Y, q.pi)
+    cost_p = _pair_costs(X.coords, Y.coords, p.pi)
+    cost_q = _pair_costs(X.coords, Y.coords, q.pi)
     per_cycle_p = np.zeros(n_cycles)
     per_cycle_q = np.zeros(n_cycles)
     np.add.at(per_cycle_p, labels, cost_p)

@@ -3,9 +3,10 @@
 A cell at depth h is split along the scheduled axis at the rank median: after
 a stable sort by that coordinate, the first ceil(|S|/2) points go left (digit
 0) and the rest go right (digit 1).  Each point accumulates one binary digit
-per depth; the digits, read most-significant first, form the point's address,
-and sorting by address value yields the tree-curve order shared by every
-operation downstream.
+per depth; the digits, read most-significant first, form the point's address
+(its packed code), and sorting by address yields the tree-curve order shared
+by every operation downstream.  :func:`build_tree` returns the codes together
+with that order; :func:`split_thresholds` reads the split values off the codes.
 """
 
 from __future__ import annotations
@@ -54,76 +55,6 @@ class AxisSchedule:
         return (self.start_axis + h) % self.d
 
 
-@dataclass(frozen=True)
-class Address:
-    """Binary path code of a point: digits s_1..s_H packed MSB-first.
-
-    ``value`` is the dyadic real sum(s_h * 2^-h), in [0, 1); the length-h
-    prefix identifies the depth-h cell containing the point.
-    """
-
-    code: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if not 0 <= self.code < (1 << self.depth):
-            raise ValueError(f"code {self.code} out of range for depth {self.depth}")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.code >> (self.depth - 1 - h)) & 1 for h in range(self.depth))
-
-    @property
-    def value(self) -> float:
-        return self.code / float(1 << self.depth)
-
-
-@dataclass(frozen=True)
-class PartitionTree:
-    """Split thresholds, node counts, and axis schedule of one tree build.
-
-    ``level_cells[h]`` lists the non-empty cell ids at depth h = 0..depth
-    (cell id = the integer whose binary digits are the path code);
-    ``level_counts[h]`` the matching point counts.  ``level_split_cells[h]`` /
-    ``level_thresholds[h]`` record, for every cell actually split at depth
-    h < depth, the coordinate of the last left point along the scheduled axis.
-    """
-
-    depth: int
-    n: int
-    schedule: AxisSchedule
-    level_cells: tuple[np.ndarray, ...]
-    level_counts: tuple[np.ndarray, ...]
-    level_split_cells: tuple[np.ndarray, ...]
-    level_thresholds: tuple[np.ndarray, ...]
-
-    def count(self, h: int, k: int) -> int:
-        """Number of points in cell k (0-indexed path code) at depth h."""
-        cells = self.level_cells[h]
-        pos = np.searchsorted(cells, k)
-        if pos < cells.size and cells[pos] == k:
-            return int(self.level_counts[h][pos])
-        return 0
-
-    def threshold(self, h: int, k: int) -> float | None:
-        """Split value of node (h, k), or None if the node was not split."""
-        cells = self.level_split_cells[h]
-        pos = np.searchsorted(cells, k)
-        if pos < cells.size and cells[pos] == k:
-            return float(self.level_thresholds[h][pos])
-        return None
-
-    def threshold_vector(self) -> list[tuple[int, int, float]]:
-        """All recorded split thresholds as (h, k, m) in (h, k) order."""
-        out = []
-        for h in range(self.depth):
-            for k, m in zip(self.level_split_cells[h], self.level_thresholds[h]):
-                out.append((h, int(k), float(m)))
-        return out
-
-
 def _rank_bits(n: int) -> int:
     """Width of the rank field in the per-level sort key of :func:`build_tree`.
 
@@ -159,8 +90,8 @@ def build_tree(
     X: PointCloud | np.ndarray,
     depth: int,
     schedule: AxisSchedule | None = None,
-) -> tuple[PartitionTree, np.ndarray]:
-    """Build the rank-split partition to the given depth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the points to the given depth: their order and their addresses.
 
     Ties on the split coordinate break by original input index (stable sort),
     so the construction is deterministic.  Cells that reach a single point
@@ -176,12 +107,15 @@ def build_tree(
     points of each sorted cell form its left child, so the children's sizes
     and paths follow from the parents' alone.  Level 0 (one cell) is already
     in rank order, and once every cell is a singleton the sort is skipped.
-    Addresses are written once, at the end.  Bounds: ``depth <= MAX_DEPTH``
-    (the address packing) and ``n <= 2**31`` (the key needs
-    ``2 * bits <= 63``); past either a ValueError is raised.
+    Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
+    (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
-    Returns the tree and the per-point packed addresses (uint64, one word per
-    point, digit s_1 in the most significant of the ``depth`` used bits).
+    Returns ``(order, codes)``.  ``order`` (int64) lists the points leaf by
+    leaf in address order, and within a leaf by stable rank along the last
+    scheduled axis, so ``codes[order]`` is nondecreasing; once every leaf is a
+    singleton (``depth >= full_depth(n)``) it is the tree-curve order.
+    ``codes`` (uint64) holds each point's packed address, digit s_1 in the
+    most significant of the ``depth`` used bits.
     """
     X = _as_cloud(X)
     if depth < 1:
@@ -213,10 +147,6 @@ def build_tree(
     ranks = np.arange(n, dtype=key_dtype)
     sizes = np.full(1, n, dtype=np.int64)  # per cell: its point count
     path = np.zeros(1, dtype=np.int64)  # per cell: its path code
-    level_cells: list[np.ndarray] = []
-    level_counts: list[np.ndarray] = []
-    level_split_cells: list[np.ndarray] = []
-    level_thresholds: list[np.ndarray] = []
 
     for h, axis in enumerate(axes):
         if h > 0:
@@ -229,37 +159,48 @@ def build_tree(
                 key &= mask
                 ranks = key
 
-        starts = np.cumsum(sizes) - sizes
-        n_left = (sizes + 1) // 2
-        split = sizes >= 2
-        level_cells.append(path)
-        level_counts.append(sizes)
-        level_split_cells.append(path[split])
-        last_left = by_rank[axis][ranks[starts[split] + n_left[split] - 1]]
-        level_thresholds.append(coords[last_left, axis])
-
         # The first ceil(size/2) points of a cell form its left child, which
         # every cell keeps; split cells also get a right child.
+        n_left = (sizes + 1) // 2
         children = np.stack((n_left, sizes - n_left), axis=1).ravel()
         kept = children > 0
         sizes = children[kept]
         path = np.stack((path * 2, path * 2 + 1), axis=1).ravel()[kept]
 
-    level_cells.append(path)
-    level_counts.append(sizes)
+    order = by_rank[axes[-1]][ranks]
     codes = np.empty(n, dtype=np.uint64)
-    codes[by_rank[axes[-1]][ranks]] = np.repeat(path, sizes)
+    codes[order] = np.repeat(path, sizes)
+    return order, codes
 
-    tree = PartitionTree(
-        depth=depth,
-        n=n,
-        schedule=schedule,
-        level_cells=tuple(level_cells),
-        level_counts=tuple(level_counts),
-        level_split_cells=tuple(level_split_cells),
-        level_thresholds=tuple(level_thresholds),
-    )
-    return tree, codes
+
+def split_thresholds(
+    X: PointCloud | np.ndarray,
+    depth: int,
+    schedule: AxisSchedule | None = None,
+) -> list[tuple[int, int, float]]:
+    """Split thresholds (h, k, m) of the depth-limited build, in (h, k) order.
+
+    Cell k at depth h is split when it holds at least two points; m is the
+    coordinate, along ``schedule.axis(h)``, of the last point of its left
+    child 2k in stable order.  Computed from the addresses of one
+    :func:`build_tree` call, with one stable sort per level.
+    """
+    X = _as_cloud(X)
+    schedule = schedule or AxisSchedule.cycling(X.d)
+    _, codes = build_tree(X, depth, schedule)
+    out = []
+    for h in range(depth):
+        coord = X.coords[:, schedule.axis(h)]
+        child = codes >> np.uint64(depth - 1 - h)
+        order = np.lexsort((coord, child))
+        sorted_child = child[order]
+        last = np.flatnonzero(np.append(sorted_child[1:] != sorted_child[:-1], True))
+        runs = sorted_child[last]
+        # A cell is split exactly when its right child 2k + 1 is not empty.
+        split = (runs[:-1] % 2 == 0) & (runs[1:] == runs[:-1] + 1)
+        for k, m in zip(runs[:-1][split] // 2, coord[order[last[:-1][split]]]):
+            out.append((h, int(k), float(m)))
+    return out
 
 
 def full_depth(n: int) -> int:
@@ -273,16 +214,12 @@ def tree_curve_order(
 ) -> np.ndarray:
     """Permutation sorting the points by address value (tree-curve order).
 
-    Builds the tree to full depth (singleton leaves), then sorts addresses;
-    for d=1 this reduces to a stable ascending coordinate sort.
+    The order of a full-depth (singleton-leaf) build; for d=1 this reduces to
+    a stable ascending coordinate sort.
     """
     X = _as_cloud(X)
-    if X.n == 1:
-        return np.zeros(1, dtype=np.int64)
-    _, codes = build_tree(X, full_depth(X.n), schedule)
-    # Leaves are singletons at full depth, so the codes are unique and any
-    # sort kind gives the same permutation.
-    return np.argsort(codes).astype(np.int64)
+    order, _ = build_tree(X, full_depth(X.n), schedule)
+    return order
 
 
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:
@@ -307,13 +244,3 @@ def common_prefix_depth(a: int | np.ndarray, b: int | np.ndarray, depth: int):
         return depth - diff.bit_length()
     diff = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
     return depth - _bit_length_u64(diff)
-
-
-def empirical_threshold_vector(
-    X: PointCloud | np.ndarray,
-    depth: int,
-    schedule: AxisSchedule | None = None,
-) -> list[tuple[int, int, float]]:
-    """Flattened split-threshold vector (h, k, m) of the depth-limited build."""
-    tree, _ = build_tree(X, depth, schedule)
-    return tree.threshold_vector()

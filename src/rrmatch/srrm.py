@@ -10,7 +10,7 @@ the result never worse than plain multi-run matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,11 +22,12 @@ from rrmatch.core import (
     PointCloud,
     RngSeed,
     _as_cloud,
+    _check_pair,
     derive_rng,
     derive_seed,
     plan_squared_cost,
 )
-from rrmatch.matching import _check_pair, hungarian, merged_rrm, squared_distance_matrix
+from rrmatch.matching import hungarian, merged_rrm, squared_distance_matrix
 
 #: Anchor spread when a subset has a single point and no neighbor distance.
 _LONE_POINT_SCALE = 0.01
@@ -62,17 +63,6 @@ class SrrmConfig:
             raise ValueError("merge_runs must be >= 1")
         if self.hungarian_cap < 0:
             raise ValueError("hungarian_cap must be >= 0")
-
-
-@dataclass
-class ScreeningState:
-    """Mutable per-round state: global partial plan and unresolved index sets."""
-
-    pi: np.ndarray
-    unresolved_x: np.ndarray
-    unresolved_y: np.ndarray
-    round: int = 0
-    history: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -165,8 +155,7 @@ def finalize_hungarian(
         )
     sub = hungarian(squared_distance_matrix(X.coords[rows], Y.coords[cols]))
     pi[rows] = cols[sub.pi]
-    diff = X.coords - Y.coords[pi]
-    return Plan(pi=pi, squared_cost_sum=float(np.einsum("ij,ij->", diff, diff)))
+    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
 
 
 def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> SrrmResult:
@@ -184,12 +173,6 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
     n = X.n
     k = cfg.anchors_per_point
 
-    state = ScreeningState(
-        pi=np.full(n, UNASSIGNED, dtype=np.int64),
-        unresolved_x=np.arange(n, dtype=np.int64),
-        unresolved_y=np.arange(n, dtype=np.int64),
-    )
-
     if cfg.rounds == 0:
         # Degraded path: no screening happened, so the merged plan is the
         # pipeline output and finalization has nothing to do.
@@ -202,13 +185,17 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
             guard_applied=False,
         )
 
+    # The global partial plan and the still unresolved sources and targets.
+    pi = np.full(n, UNASSIGNED, dtype=np.int64)
+    unresolved_x = np.arange(n, dtype=np.int64)
+    unresolved_y = np.arange(n, dtype=np.int64)
+    history = []
     for r in range(cfg.rounds):
-        m = state.unresolved_x.size
+        m = unresolved_x.size
         if m == 0:
             break
-        state.round = r
-        xs = X.coords[state.unresolved_x]
-        ys = Y.coords[state.unresolved_y]
+        xs = X.coords[unresolved_x]
+        ys = Y.coords[unresolved_y]
         anchors = np.vstack(
             [
                 sample_near(xs, k, derive_rng(cfg.seed, _TAG_ANCHOR, r, 0)),
@@ -225,16 +212,13 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
         )
         good, keep_x, keep_y = select(T, m)
         if good.size:
-            state.pi[state.unresolved_x[good[:, 0]]] = state.unresolved_y[good[:, 1]]
-        state.unresolved_x = state.unresolved_x[keep_x]
-        state.unresolved_y = state.unresolved_y[keep_y]
-        state.history.append(int(state.unresolved_x.size))
+            pi[unresolved_x[good[:, 0]]] = unresolved_y[good[:, 1]]
+        unresolved_x = unresolved_x[keep_x]
+        unresolved_y = unresolved_y[keep_y]
+        history.append(int(unresolved_x.size))
 
-    residual = int(state.unresolved_x.size)
-    partial = Plan(
-        pi=state.pi,
-        squared_cost_sum=plan_squared_cost(X, Y, state.pi),
-    )
+    residual = int(unresolved_x.size)
+    partial = Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
     plan = finalize_hungarian(X, Y, partial, cfg.hungarian_cap)
 
     guard_applied = False
@@ -247,7 +231,7 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
     return SrrmResult(
         plan=plan,
         value=plan.rms,
-        history=tuple(state.history),
+        history=tuple(history),
         residual=residual,
         guard_applied=guard_applied,
     )

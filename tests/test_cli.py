@@ -107,6 +107,13 @@ class TestUsageErrors:
         (("flow", "{x}", "{y}", "--snapshot-every", 0, "--outdir", "o"), "--snapshot-every"),
         (("converge", "--n-list", "64,0"), "--n-list"),
         (("bench", "--n-list", "64", "--reps", 0), "--reps"),
+        (("gen", "--n", 0, "--out", "o.pcf"), "--n"),
+        (("bench", "--n-list", "64", "--d", 0), "--d"),
+        (("distance", "{x}", "{y}", "--method", "exact", "--cap", -1), "--cap"),
+        (("plateau", "--family", "line-mixture", "--grid", "0", "--diag-depth", 64), "--diag-depth"),
+        (("converge", "--kind", "thresholds", "--H", 0), "--H"),
+        (("converge", "--depth", 41), "--depth"),
+        (("converge", "--d", 0), "--d"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, pair_files, capsys, argv, flag):
         x, y = pair_files
@@ -114,6 +121,22 @@ class TestUsageErrors:
             run(*(str(a).format(x=x, y=y) for a in argv))
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (("gen", "--family", "gaussian-pair", "--t", 2, "--out", "a.pcf", "--out2", "b.pcf"), "t"),
+        (("gen", "--sigma", 0, "--out", "a.pcf"), "sigma"),
+        (("gen", "--family", "perturbed-copy", "--alpha", -1, "--out", "a.pcf", "--out2", "b.pcf"),
+         "alpha"),
+        (("bench", "--n-list", "64", "--frac-bads", 1.5), "frac_bads"),
+        (("plateau", "--family", "line-mixture", "--grid", "0,2"), "frac_bads"),
+        (("plateau", "--family", "opening-angle", "--grid", "0.1,-1"), "delta"),
+    ])
+    def test_bad_generator_parameter_exits_2(self, tmp_path, capsys, argv, field):
+        with pytest.raises(SystemExit) as exc:
+            run(*(tmp_path / a if str(a).endswith(".pcf") else a for a in argv))
+        assert exc.value.code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestMatch:

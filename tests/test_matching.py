@@ -269,16 +269,6 @@ class TestExactW2:
             exact_w2(X, Y, cap=8)
 
 
-class TestCostReporting:
-    def test_rms_is_root_mean_square_of_sum(self):
-        from rrmatch.matching import CostKind, plan_value
-
-        plan = Plan(pi=np.array([1, 0, 2]), squared_cost_sum=0.75)
-        assert plan_value(plan, CostKind.SUM_OF_SQUARES) == 0.75
-        assert plan_value(plan, CostKind.RMS) == pytest.approx(np.sqrt(0.75 / 3))
-        assert plan_value(plan) == plan.rms
-
-
 class TestRunVariant:
     def test_rotation_must_be_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.partition import (
-    Address,
     AxisSchedule,
     _rank_bits,
     _stable_order,
     build_tree,
     common_prefix_depth,
-    empirical_threshold_vector,
     full_depth,
+    split_thresholds,
     tree_curve_order,
 )
 
@@ -27,13 +26,12 @@ def _codes_as_strings(codes, depth):
 def lexsort_build_tree(coords, depth, schedule):
     """Reference build: one lexsort by (cell, coordinate) per level.
 
-    Returns the packed codes and the four per-level tuples of a
-    :class:`PartitionTree`, in the same dtypes.
+    Returns the packed codes and the split thresholds (h, k, m) in (h, k) order.
     """
     n = coords.shape[0]
     cell = np.zeros(n, dtype=np.int64)
     codes = np.zeros(n, dtype=np.uint64)
-    cells, counts, split_cells, thresholds = [], [], [], []
+    thresholds = []
     for h in range(depth):
         key = coords[:, schedule.axis(h)]
         order = np.lexsort((key, cell))
@@ -45,24 +43,18 @@ def lexsort_build_tree(coords, depth, schedule):
         starts = np.flatnonzero(is_start)
         run_of = np.cumsum(is_start) - 1
         sizes = np.diff(np.append(starts, n))
-        cells.append(sorted_cell[starts].copy())
-        counts.append(sizes.astype(np.int64))
 
         n_left = (sizes + 1) // 2
         digit_sorted = np.arange(n) - starts[run_of] >= n_left[run_of]
         split = sizes >= 2
-        split_cells.append(sorted_cell[starts[split]].copy())
-        thresholds.append(key[order[starts[split] + n_left[split] - 1]].copy())
+        for k, i in zip(sorted_cell[starts[split]], order[starts[split] + n_left[split] - 1]):
+            thresholds.append((h, int(k), float(key[i])))
 
         digit = np.empty(n, dtype=np.uint64)
         digit[order] = digit_sorted
         codes |= np.left_shift(digit, np.uint64(depth - 1 - h))
         cell = cell * 2 + digit.astype(np.int64)
-
-    leaf_cells, leaf_counts = np.unique(cell, return_counts=True)
-    cells.append(leaf_cells)
-    counts.append(leaf_counts.astype(np.int64))
-    return codes, (tuple(cells), tuple(counts), tuple(split_cells), tuple(thresholds))
+    return codes, thresholds
 
 
 def _assert_same_bytes(a, b):
@@ -70,15 +62,35 @@ def _assert_same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _assert_same_thresholds(got, want):
+    assert [(h, k) for h, k, _ in got] == [(h, k) for h, k, _ in want]
+    _assert_same_bytes(np.array([m for *_, m in got], dtype=np.float64),
+                       np.array([m for *_, m in want], dtype=np.float64))
+
+
+def _assert_order_of(order, codes, depth):
+    """``order`` walks the leaves in address order; at full depth it sorts the codes."""
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(np.sort(order), np.arange(codes.size))
+    walked = codes[order]
+    assert (walked[1:] >= walked[:-1]).all()
+    if depth >= full_depth(codes.size):
+        _assert_same_bytes(order, np.argsort(codes, kind="stable"))
+
+
 def _assert_matches_reference(coords, depth, schedule):
-    tree, codes = build_tree(PointCloud(coords), depth, schedule)
-    ref_codes, ref_levels = lexsort_build_tree(coords, depth, schedule)
+    X = PointCloud(coords)
+    order, codes = build_tree(X, depth, schedule)
+    ref_codes, ref_thresholds = lexsort_build_tree(coords, depth, schedule)
     _assert_same_bytes(codes, ref_codes)
-    levels = (tree.level_cells, tree.level_counts, tree.level_split_cells, tree.level_thresholds)
-    for got, want in zip(levels, ref_levels):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            _assert_same_bytes(a, b)
+    _assert_same_thresholds(split_thresholds(X, depth, schedule), ref_thresholds)
+    _assert_order_of(order, codes, depth)
+
+
+def _cell_counts(codes, depth, h):
+    """The non-empty cells at depth h and their point counts, as int lists."""
+    cells, counts = np.unique(codes >> np.uint64(depth - h), return_counts=True)
+    return cells.tolist(), counts.tolist()
 
 
 def _tied_coords(kind, rng, n, d):
@@ -127,49 +139,52 @@ def tree_inputs(draw):
 class TestBuildTree:
     def test_one_dimensional_addresses(self):
         X = PointCloud(np.array([[0.1], [0.9], [0.4], [0.6]]))
-        tree, codes = build_tree(X, 2)
+        order, codes = build_tree(X, 2)
         assert _codes_as_strings(codes, 2) == ["00", "11", "01", "10"]
         # Tree-curve order must be ascending coordinate order.
+        np.testing.assert_array_equal(order, [0, 2, 3, 1])
         np.testing.assert_array_equal(tree_curve_order(X), [0, 2, 3, 1])
 
     def test_single_point(self):
-        tree, codes = build_tree(PointCloud(np.array([[0.3, 0.7]])), 3)
+        X = PointCloud(np.array([[0.3, 0.7]]))
+        order, codes = build_tree(X, 3)
         assert codes[0] == 0
-        assert all(cells.size == 0 for cells in tree.level_split_cells)
+        _assert_same_bytes(order, np.zeros(1, dtype=np.int64))
+        assert split_thresholds(X, 3) == []
 
     def test_four_points_forced_counts(self):
         rng = np.random.default_rng(0)
-        tree, _ = build_tree(PointCloud(rng.random((4, 2))), 2)
-        np.testing.assert_array_equal(tree.level_counts[0], [4])
-        np.testing.assert_array_equal(tree.level_counts[1], [2, 2])
-        np.testing.assert_array_equal(tree.level_counts[2], [1, 1, 1, 1])
-        assert tree.schedule.axis(0) == 0 and tree.schedule.axis(1) == 1
+        _, codes = build_tree(PointCloud(rng.random((4, 2))), 2)
+        assert _cell_counts(codes, 2, 0)[1] == [4]
+        assert _cell_counts(codes, 2, 1)[1] == [2, 2]
+        assert _cell_counts(codes, 2, 2)[1] == [1, 1, 1, 1]
 
     def test_equal_mass_split_everywhere(self):
         rng = np.random.default_rng(1)
         for n in (2, 3, 7, 33, 100, 257):
-            tree, _ = build_tree(PointCloud(rng.random((n, 3))), full_depth(n))
-            for h in range(tree.depth):
-                for k, c in zip(tree.level_cells[h], tree.level_counts[h]):
+            depth = full_depth(n)
+            _, codes = build_tree(PointCloud(rng.random((n, 3))), depth)
+            for h in range(depth):
+                below = dict(zip(*_cell_counts(codes, depth, h + 1)))
+                for k, c in zip(*_cell_counts(codes, depth, h)):
                     if c < 2:
                         continue
-                    left = tree.count(h + 1, 2 * int(k))
-                    right = tree.count(h + 1, 2 * int(k) + 1)
-                    assert left == (c + 1) // 2
-                    assert right == c // 2
+                    assert below.get(2 * k, 0) == (c + 1) // 2
+                    assert below.get(2 * k + 1, 0) == c // 2
 
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 1000, 4096, 65536])
     def test_depth_sufficiency_singleton_leaves(self, n):
         rng = np.random.default_rng(n)
-        tree, _ = build_tree(PointCloud(rng.random((n, 2))), full_depth(n))
-        assert tree.level_counts[-1].max() == 1
+        depth = full_depth(n)
+        _, codes = build_tree(PointCloud(rng.random((n, 2))), depth)
+        assert max(_cell_counts(codes, depth, depth)[1]) == 1
 
     def test_leaf_count_bound_shallow(self):
         rng = np.random.default_rng(2)
         n, depth = 100, 3
-        tree, _ = build_tree(PointCloud(rng.random((n, 2))), depth)
+        _, codes = build_tree(PointCloud(rng.random((n, 2))), depth)
         bound = max(1, -(-n // 2**depth))
-        assert tree.level_counts[-1].max() <= bound
+        assert max(_cell_counts(codes, depth, depth)[1]) <= bound
 
     def test_depth_bounds(self):
         X = PointCloud(np.random.default_rng(3).random((4, 2)))
@@ -181,10 +196,11 @@ class TestBuildTree:
     def test_determinism(self):
         rng = np.random.default_rng(4)
         coords = rng.random((200, 3))
-        t1, c1 = build_tree(PointCloud(coords), 8)
-        t2, c2 = build_tree(PointCloud(coords), 8)
-        np.testing.assert_array_equal(c1, c2)
-        assert t1.threshold_vector() == t2.threshold_vector()
+        o1, c1 = build_tree(PointCloud(coords), 8)
+        o2, c2 = build_tree(PointCloud(coords), 8)
+        _assert_same_bytes(o1, o2)
+        _assert_same_bytes(c1, c2)
+        assert split_thresholds(PointCloud(coords), 8) == split_thresholds(PointCloud(coords), 8)
 
     def test_tie_break_by_input_index(self):
         # Duplicate coordinates: stable split sends the earlier index left.
@@ -296,41 +312,28 @@ class TestCommonPrefixDepth:
 class TestThresholds:
     def test_two_points(self):
         X = PointCloud(np.array([[0.2], [0.8]]))
-        assert empirical_threshold_vector(X, 1) == [(0, 0, 0.2)]
+        assert split_thresholds(X, 1) == [(0, 0, 0.2)]
 
     def test_empirical_median_concentrates(self):
         rng = np.random.default_rng(8)
         X = PointCloud(rng.random((10_000, 1)))
-        [(h, k, m)] = empirical_threshold_vector(X, 1)
+        [(h, k, m)] = split_thresholds(X, 1)
         assert (h, k) == (0, 0)
         assert 0.45 <= m <= 0.55
 
     def test_threshold_is_last_left_coordinate(self):
         rng = np.random.default_rng(9)
         coords = rng.random((25, 1))
-        [(_, _, m)] = empirical_threshold_vector(PointCloud(coords), 1)
+        [(_, _, m)] = split_thresholds(PointCloud(coords), 1)
         assert m == np.sort(coords[:, 0])[(25 + 1) // 2 - 1]
 
     def test_duplicated_set_matches_brute_force(self):
         rng = np.random.default_rng(10)
         base = rng.random(9)
         doubled = np.repeat(base, 2)
-        [(_, _, m)] = empirical_threshold_vector(PointCloud(doubled.reshape(-1, 1)), 1)
+        [(_, _, m)] = split_thresholds(PointCloud(doubled.reshape(-1, 1)), 1)
         expected = np.sort(doubled)[(18 + 1) // 2 - 1]  # brute force over sorted order
         assert m == expected
-
-
-class TestAddress:
-    def test_bits_and_value(self):
-        a = Address(code=0b101, depth=3)
-        assert a.bits == (1, 0, 1)
-        assert a.value == 0.625
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            Address(code=8, depth=3)
-        with pytest.raises(ValueError):
-            Address(code=0, depth=64)
 
 
 class TestAxisSchedule:
