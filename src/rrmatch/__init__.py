@@ -45,7 +45,6 @@ from rrmatch.matching import (
     squared_distance_matrix,
 )
 from rrmatch.partition import (
-    AxisSchedule,
     build_tree,
     common_prefix_depth,
     split_thresholds,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UNASSIGNED",
-    "AxisSchedule",
     "CapExceededError",
     "DataFormatError",
     "InvalidCloudError",

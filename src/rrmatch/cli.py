@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,26 +52,6 @@ EXIT_CAP = 4
 METHODS = ("rrm", "merged", "srrm", "exact")
 
 _TAG_CLI = 7
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Displacement-flow parameters: convex step, iteration budget, matcher."""
-
-    step: float = 0.15
-    iterations: int = 100
-    matcher: str = "srrm"
-    snapshot_every: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.step <= 1.0:
-            raise ValueError(f"step must be in (0, 1], got {self.step}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot-every must be >= 1")
-        if self.matcher not in METHODS:
-            raise ValueError(f"unknown matcher {self.matcher!r}")
 
 
 def _emit(record: dict, out_path: str | None, stream=None) -> None:
@@ -250,12 +229,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    cfg = FlowConfig(
-        step=args.step,
-        iterations=args.iterations,
-        matcher=args.method,
-        snapshot_every=args.snapshot_every,
-    )
     X, Y = _load_pair(args.fileX, args.fileY, args.format)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -263,26 +236,26 @@ def cmd_flow(args: argparse.Namespace) -> int:
     metrics_path.unlink(missing_ok=True)
 
     current = X.coords.copy()
-    for it in range(cfg.iterations):
+    for it in range(args.iterations):
         cx = PointCloud(current)
         cxn, yn = _maybe_normalize(cx, Y, args.normalize)
-        plan, _ = _plan_for_method(cfg.matcher, cxn, yn, args)
+        plan, _ = _plan_for_method(args.method, cxn, yn, args)
         value = math.sqrt(plan_squared_cost(cx, Y, plan.pi) / plan.n)
         record = {"iter": it, "value": value}
         if X.n <= _exact_cap(args):
             record["exact_w2"] = exact_w2(cx, Y, _exact_cap(args))
         _emit(record, str(metrics_path))
-        if it % cfg.snapshot_every == 0:
+        if it % args.snapshot_every == 0:
             save_point_cloud(cx, outdir / f"snapshot_{it:05d}.pcf")
-        current = (1.0 - cfg.step) * current + cfg.step * Y.coords[plan.pi]
+        current = (1.0 - args.step) * current + args.step * Y.coords[plan.pi]
 
     final = PointCloud(current)
     save_point_cloud(final, outdir / "final.pcf")
     summary = {
         "command": "flow",
-        "iterations": cfg.iterations,
-        "step": cfg.step,
-        "matcher": cfg.matcher,
+        "iterations": args.iterations,
+        "step": args.step,
+        "matcher": args.method,
         "n": X.n,
         "d": X.d,
         "seed": args.seed,
@@ -297,11 +270,6 @@ def cmd_plateau(args: argparse.Namespace) -> int:
     if args.family not in _GRID_FIELDS:
         print("plateau supports --family line-mixture or opening-angle", file=sys.stderr)
         return EXIT_USAGE
-    methods = args.methods.split(",")
-    for m in methods:
-        if m not in METHODS:
-            print(f"unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
     diag_depth = args.diag_depth or max(1, math.ceil(math.log2(max(args.n, 2))) - 3)
     cap = _exact_cap(args)
     records = []
@@ -310,7 +278,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
             cell_seed = derive_seed(args.seed, _TAG_CLI, gi, rep)
             X, Y = gen(dataclasses.replace(grid_spec, seed=cell_seed))
             exact_value = exact_w2(X, Y, cap) if X.n <= cap else None
-            for method in methods:
+            for method in args.methods:
                 t0 = time.perf_counter()
                 plan, params = _plan_for_method(method, X, Y, args)
                 wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -377,14 +345,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    methods = args.methods.split(",")
-    for m in methods:
-        if m not in METHODS:
-            print(f"unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
     records = []
     for ni, n in enumerate(args.n_list):
-        for method in methods:
+        for method in args.methods:
             walls = []
             histories = []
             for rep in range(args.reps):
@@ -469,10 +432,21 @@ def _size_list(text: str) -> list[int]:
     return [parse(item) for item in text.split(",")]
 
 
+def _method_list(text: str) -> list[str]:
+    methods = text.split(",")
+    for m in methods:
+        if m not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {m!r}; choose from {', '.join(METHODS)}"
+            )
+    return methods
+
+
 def _add_common(
     p: argparse.ArgumentParser, with_method: bool = True, table: bool = False
 ) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for all randomized steps")
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="64-bit seed for all randomized steps")
     p.add_argument("--out", default=None, help="append records here instead of stdout")
     if table:
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
@@ -511,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic cloud (or pair) to disk")
     _add_generator_params(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--format", choices=("csv", "pcf"), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--out2", default=None, help="second output file for pair families")
@@ -544,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_params(p)
     _add_common(p, table=True)
     p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")
-    p.add_argument("--methods", default="rrm,merged,srrm")
+    p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
     p.add_argument("--diag-depth", dest="diag_depth", type=_int_at_least(1, MAX_DEPTH),
                    default=None)
@@ -555,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_at_least(1), default=1)
     p.add_argument("--n-list", dest="n_list", type=_size_list, default=[256, 512, 1024])
     p.add_argument("--reps", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--H", type=_int_at_least(1, 40), default=3,
                    help="tree depth for the thresholds kind")
     p.add_argument("--depth", type=_int_at_least(1, 40), default=40,
@@ -568,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_params(p)
     _add_common(p, with_method=False, table=True)
     p.add_argument("--n-list", dest="n_list", type=_size_list, required=True)
-    p.add_argument("--methods", default="rrm,merged,srrm")
+    p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_bench)
 

@@ -59,14 +59,14 @@ def derive_seed(seed: RngSeed, *path: int) -> int:
 class PointCloud:
     """n points in d dimensions with implicit uniform weights 1/n.
 
-    ``coords`` is an (n, d) float64 row-major array, made read-only on
-    construction.  All coordinates must be finite and n, d >= 1.
+    ``coords`` is a read-only (n, d) float64 row-major copy of the array
+    passed in.  All coordinates must be finite and n, d >= 1.
     """
 
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=np.float64)
+        coords = np.array(self.coords, dtype=np.float64, order="C")
         if coords.ndim != 2:
             raise InvalidCloudError(f"coords must be 2-d (n, d), got shape {coords.shape}")
         if coords.shape[0] < 1 or coords.shape[1] < 1:
@@ -75,7 +75,6 @@ class PointCloud:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise InvalidCloudError(f"non-finite coordinate at point {i}, axis {j}")
-        coords = np.ascontiguousarray(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -99,7 +98,7 @@ class PointCloud:
 
 
 def _as_cloud(X: PointCloud | np.ndarray) -> PointCloud:
-    return X if isinstance(X, PointCloud) else PointCloud(np.asarray(X, dtype=np.float64))
+    return X if isinstance(X, PointCloud) else PointCloud(X)
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,15 @@ class Plan:
 
     ``pi[i]`` is the target index matched to source ``i``, or ``UNASSIGNED``.
     Assigned entries are pairwise distinct.  ``squared_cost_sum`` is the sum of
-    squared Euclidean costs over assigned pairs (not divided by n).
+    squared Euclidean costs over assigned pairs (not divided by n).  ``pi``
+    is stored as a read-only int64 copy of the array passed in.
     """
 
     pi: np.ndarray
     squared_cost_sum: float
 
     def __post_init__(self) -> None:
-        pi = np.asarray(self.pi, dtype=np.int64)
+        pi = np.array(self.pi, dtype=np.int64, order="C")
         if pi.ndim != 1 or pi.size < 1:
             raise ValueError("pi must be a non-empty 1-d index array")
         assigned = pi[pi != UNASSIGNED]
@@ -128,7 +128,6 @@ class Plan:
                 raise ValueError("assigned targets must be pairwise distinct")
         if not math.isfinite(self.squared_cost_sum) or self.squared_cost_sum < 0:
             raise ValueError(f"squared_cost_sum must be finite and >= 0, got {self.squared_cost_sum}")
-        pi = np.ascontiguousarray(pi)
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 

@@ -2,9 +2,9 @@
 
 The basic plan pairs the two clouds rank by rank along their tree-curve
 orders.  Diversity for merging comes from run variants: an orthogonal rotation
-applied identically to both clouds plus a rotated axis schedule, which changes
-the partition (hence the plan) but never the cost function -- costs are always
-evaluated in the original coordinates.
+applied identically to both clouds, which changes the partition (hence the
+plan) but never the cost function -- costs are always evaluated in the
+original coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from rrmatch.core import (
     derive_rng,
     plan_squared_cost,
 )
-from rrmatch.partition import AxisSchedule, tree_curve_order
+from rrmatch.partition import tree_curve_order
 
 _ORTHOGONALITY_TOL = 1e-10
 
@@ -38,21 +38,17 @@ _TAG_VARIANT = 1
 
 @dataclass(frozen=True)
 class RunVariant:
-    """One randomized run: a rotation shared by both clouds plus a schedule.
+    """One randomized run: an orthogonal rotation shared by both clouds.
 
-    The identity variant (identity rotation, cycling schedule from axis 0)
-    reproduces the canonical plan.
+    The identity variant reproduces the canonical plan.
     """
 
     rotation: np.ndarray
-    schedule: AxisSchedule
 
     def __post_init__(self) -> None:
         rot = np.asarray(self.rotation, dtype=np.float64)
         if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
             raise ValueError(f"rotation must be square, got shape {rot.shape}")
-        if rot.shape[0] != self.schedule.d:
-            raise ValueError("rotation and schedule dimensions disagree")
         gram_err = np.abs(rot.T @ rot - np.eye(rot.shape[0])).max()
         if gram_err > _ORTHOGONALITY_TOL:
             raise ValueError(f"rotation is not orthogonal (|Q^T Q - I| = {gram_err:.3e})")
@@ -60,17 +56,22 @@ class RunVariant:
 
     @classmethod
     def identity(cls, d: int) -> "RunVariant":
-        return cls(rotation=np.eye(d), schedule=AxisSchedule.cycling(d))
+        return cls(rotation=np.eye(d))
 
     @classmethod
     def random(cls, d: int, seed: RngSeed, index: int) -> "RunVariant":
-        """Haar-random rotation plus random start axis for run ``index``."""
+        """Haar-random rotation for run ``index``, its rows rolled by a random start.
+
+        Rolling the rows by ``start`` permutes the rotated coordinates'
+        columns, so the build splits first along the Haar rotation's axis
+        ``start`` and cycles on from there.
+        """
         rng = derive_rng(seed, _TAG_VARIANT, index)
         normals = rng.standard_normal((d, d))
         q, r = np.linalg.qr(normals)
         q = q * np.sign(np.diag(r))  # sign correction makes QR output unique
         start = int(rng.integers(d))
-        return cls(rotation=q, schedule=AxisSchedule.cycling(d, start))
+        return cls(rotation=np.roll(q, -start, axis=0))
 
 
 def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) -> Plan:
@@ -85,8 +86,8 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
     rot = variant.rotation
     xr = X.coords @ rot.T
     yr = Y.coords @ rot.T
-    order_x = tree_curve_order(xr, variant.schedule)
-    order_y = tree_curve_order(yr, variant.schedule)
+    order_x = tree_curve_order(xr)
+    order_y = tree_curve_order(yr)
     pi = np.empty(X.n, dtype=np.int64)
     pi[order_x] = order_y
     return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
@@ -152,10 +153,10 @@ def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
 def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Plan:
     """Left-fold merge of ``runs`` single-run plans.
 
-    Run 1 is the identity variant; runs 2..K use fresh random rotations and
-    start axes derived from the seed.  Variant i is a function of (seed, i)
-    alone, so the run sequences for K and K+1 are nested and the merged cost
-    is nonincreasing in K for a fixed seed.
+    Run 1 is the identity variant; runs 2..K use fresh random rotations
+    derived from the seed.  Variant i is a function of (seed, i) alone, so
+    the run sequences for K and K+1 are nested and the merged cost is
+    nonincreasing in K for a fixed seed.
     """
     X, Y = _check_pair(X, Y)
     if runs < 1:

@@ -1,6 +1,6 @@
 """Mass-median axis-recursive partitioning of a point set.
 
-A cell at depth h is split along the scheduled axis at the rank median: after
+A cell at depth h is split along axis h mod d at the rank median: after
 a stable sort by that coordinate, the first ceil(|S|/2) points go left (digit
 0) and the rest go right (digit 1).  Each point accumulates one binary digit
 per depth; the digits, read most-significant first, form the point's address
@@ -11,48 +11,12 @@ with that order; :func:`split_thresholds` reads the split values off the codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from rrmatch.core import PointCloud, _as_cloud
 
 #: Addresses are packed into a 64-bit word, most-significant digit first.
 MAX_DEPTH = 63
-
-
-@dataclass(frozen=True)
-class AxisSchedule:
-    """Split-axis schedule: cycling from a start axis, or a fixed permutation.
-
-    Cycling with start 0 selects axis h mod d at depth h.
-    """
-
-    d: int
-    start_axis: int = 0
-    permutation: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("schedule needs d >= 1")
-        if self.permutation is not None:
-            if sorted(self.permutation) != list(range(self.d)):
-                raise ValueError(f"permutation {self.permutation} is not a permutation of 0..{self.d - 1}")
-        elif not 0 <= self.start_axis < self.d:
-            raise ValueError(f"start_axis {self.start_axis} out of range for d={self.d}")
-
-    @classmethod
-    def cycling(cls, d: int, start_axis: int = 0) -> "AxisSchedule":
-        return cls(d=d, start_axis=start_axis)
-
-    @classmethod
-    def permuted(cls, permutation: tuple[int, ...]) -> "AxisSchedule":
-        return cls(d=len(permutation), permutation=tuple(permutation))
-
-    def axis(self, h: int) -> int:
-        if self.permutation is not None:
-            return self.permutation[h % self.d]
-        return (self.start_axis + h) % self.d
 
 
 def _rank_bits(n: int) -> int:
@@ -86,23 +50,20 @@ def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
     return np.sort((group << bits) | order) & ((1 << bits) - 1)
 
 
-def build_tree(
-    X: PointCloud | np.ndarray,
-    depth: int,
-    schedule: AxisSchedule | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Partition the points to the given depth: their order and their addresses.
 
     Ties on the split coordinate break by original input index (stable sort),
     so the construction is deterministic.  Cells that reach a single point
     stop splitting; the remaining digits of their addresses are 0.
 
-    Each scheduled axis is ranked once (:func:`_stable_order`), and one table
-    per consecutive axis pair maps a point's rank along one axis to its rank
-    along the next.  The loop keeps each point's rank along the current axis,
-    points grouped by cell and cells in path order, plus each cell's size and
-    path code.  A level moves the ranks to its axis and sorts one integer key
-    per point, ``(cell index << bits) | rank`` with ``bits = (n-1).bit_length()``
+    Level h splits along axis ``h % d``.  Each axis the build uses is ranked
+    once (:func:`_stable_order`), and one table per axis a maps a point's rank
+    along a to its rank along ``(a + 1) % d``.  The loop keeps each point's
+    rank along the current axis, points grouped by cell and cells in path
+    order, plus each cell's size and path code.  A level moves the ranks to
+    its axis and sorts one integer key per point,
+    ``(cell index << bits) | rank`` with ``bits = (n-1).bit_length()``
     (uint32 while ``2 * bits <= 32``, else int64).  The first ``ceil(size/2)``
     points of each sorted cell form its left child, so the children's sizes
     and paths follow from the parents' alone.  Level 0 (one cell) is already
@@ -112,8 +73,9 @@ def build_tree(
 
     Returns ``(order, codes)``.  ``order`` (int64) lists the points leaf by
     leaf in address order, and within a leaf by stable rank along the last
-    scheduled axis, so ``codes[order]`` is nondecreasing; once every leaf is a
-    singleton (``depth >= full_depth(n)``) it is the tree-curve order.
+    split axis ``(depth - 1) % d``, so ``codes[order]`` is nondecreasing; once
+    every leaf is a singleton (``depth >= full_depth(n)``) it is the
+    tree-curve order.
     ``codes`` (uint64) holds each point's packed address, digit s_1 in the
     most significant of the ``depth`` used bits.
     """
@@ -122,25 +84,21 @@ def build_tree(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the {MAX_DEPTH}-bit address packing bound")
-    schedule = schedule or AxisSchedule.cycling(X.d)
-    if schedule.d != X.d:
-        raise ValueError(f"schedule dimension {schedule.d} != cloud dimension {X.d}")
 
-    n = X.n
+    n, d = X.n, X.d
     coords = X.coords
     bits = _rank_bits(n)
     mask = (1 << bits) - 1
     # Keys below 2**32 sort about twice as fast as int64 keys.
     key_dtype = np.uint32 if 2 * bits <= 32 else np.int64
-    axes = [schedule.axis(h) for h in range(depth)]
     # by_rank[a][r] is the point of stable rank r along axis a.
-    by_rank = {a: _stable_order(coords[:, a], bits) for a in set(axes)}
-    # moves[a, b][r] is the rank along axis b of the point of rank r along axis a.
-    moves = {}
-    for a, b in set(zip(axes, axes[1:])):
+    by_rank = [_stable_order(coords[:, a], bits) for a in range(min(depth, d))]
+    # moves[a][r] is the rank along axis (a + 1) % d of the point of rank r along axis a.
+    moves = []
+    for a in range(min(depth - 1, d)):
         rank_b = np.empty(n, dtype=key_dtype)
-        rank_b[by_rank[b]] = np.arange(n, dtype=key_dtype)
-        moves[a, b] = rank_b[by_rank[a]]
+        rank_b[by_rank[(a + 1) % d]] = np.arange(n, dtype=key_dtype)
+        moves.append(rank_b[by_rank[a]])
 
     # Per point, grouped by cell with cells in path order: its rank along the
     # current axis.  Level 0 has one cell, already in rank order.
@@ -148,9 +106,9 @@ def build_tree(
     sizes = np.full(1, n, dtype=np.int64)  # per cell: its point count
     path = np.zeros(1, dtype=np.int64)  # per cell: its path code
 
-    for h, axis in enumerate(axes):
+    for h in range(depth):
         if h > 0:
-            ranks = np.take(moves[axes[h - 1], axis], ranks)
+            ranks = np.take(moves[(h - 1) % d], ranks)
             if path.size < n:
                 # Unique keys sort by (cell, coordinate, input index) in one integer sort.
                 key = np.repeat(np.arange(path.size, dtype=key_dtype), sizes) << bits
@@ -167,30 +125,25 @@ def build_tree(
         sizes = children[kept]
         path = np.stack((path * 2, path * 2 + 1), axis=1).ravel()[kept]
 
-    order = by_rank[axes[-1]][ranks]
+    order = by_rank[(depth - 1) % d][ranks]
     codes = np.empty(n, dtype=np.uint64)
     codes[order] = np.repeat(path, sizes)
     return order, codes
 
 
-def split_thresholds(
-    X: PointCloud | np.ndarray,
-    depth: int,
-    schedule: AxisSchedule | None = None,
-) -> list[tuple[int, int, float]]:
+def split_thresholds(X: PointCloud | np.ndarray, depth: int) -> list[tuple[int, int, float]]:
     """Split thresholds (h, k, m) of the depth-limited build, in (h, k) order.
 
     Cell k at depth h is split when it holds at least two points; m is the
-    coordinate, along ``schedule.axis(h)``, of the last point of its left
-    child 2k in stable order.  Computed from the addresses of one
-    :func:`build_tree` call, with one stable sort per level.
+    coordinate, along axis ``h % d``, of the last point of its left child 2k
+    in stable order.  Computed from the addresses of one :func:`build_tree`
+    call, with one stable sort per level.
     """
     X = _as_cloud(X)
-    schedule = schedule or AxisSchedule.cycling(X.d)
-    _, codes = build_tree(X, depth, schedule)
+    _, codes = build_tree(X, depth)
     out = []
     for h in range(depth):
-        coord = X.coords[:, schedule.axis(h)]
+        coord = X.coords[:, h % X.d]
         child = codes >> np.uint64(depth - 1 - h)
         order = np.lexsort((coord, child))
         sorted_child = child[order]
@@ -208,17 +161,14 @@ def full_depth(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def tree_curve_order(
-    X: PointCloud | np.ndarray,
-    schedule: AxisSchedule | None = None,
-) -> np.ndarray:
+def tree_curve_order(X: PointCloud | np.ndarray) -> np.ndarray:
     """Permutation sorting the points by address value (tree-curve order).
 
     The order of a full-depth (singleton-leaf) build; for d=1 this reduces to
     a stable ascending coordinate sort.
     """
     X = _as_cloud(X)
-    order, _ = build_tree(X, full_depth(X.n), schedule)
+    order, _ = build_tree(X, full_depth(X.n))
     return order
 
 

@@ -114,6 +114,12 @@ class TestUsageErrors:
         (("converge", "--kind", "thresholds", "--H", 0), "--H"),
         (("converge", "--depth", 41), "--depth"),
         (("converge", "--d", 0), "--d"),
+        (("gen", "--seed", -1, "--out", "o.pcf"), "--seed"),
+        (("converge", "--seed", -2), "--seed"),
+        (("distance", "{x}", "{y}", "--seed", -1), "--seed"),
+        (("plateau", "--family", "line-mixture", "--grid", "0", "--methods", "rrm,foo"),
+         "--methods"),
+        (("bench", "--n-list", "64", "--methods", "foo"), "--methods"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, pair_files, capsys, argv, flag):
         x, y = pair_files
@@ -256,6 +262,13 @@ class TestConvergeCommand:
                        "--n-list", "101,201", "--reps", 3, "--seed", 2) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_thresholds_at_the_depth_bound(self, capsys):
+        # Only the cells the samples split are looked up, never all 2^H.
+        assert run("converge", "--kind", "thresholds", "--d", 2, "--H", 40,
+                   "--n-list", "256", "--reps", 2) == 0
+        [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert record["H"] == 40 and 0.0 <= record["median_max_dev"] < 0.5
 
 
 class TestCsvTables:

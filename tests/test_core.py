@@ -35,6 +35,12 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.coords[0, 0] = 5.0
 
+    def test_keeps_callers_array_writeable(self):
+        coords = np.ones((2, 2))
+        cloud = PointCloud(coords)
+        coords[0, 0] = 5.0
+        assert cloud.coords[0, 0] == 1.0
+
 
 class TestPlan:
     def test_rejects_duplicate_targets(self):
@@ -54,6 +60,14 @@ class TestPlan:
         plan = Plan(pi=np.array([2, 0, 1]), squared_cost_sum=0.0)
         inv = plan.inverse()
         assert (inv[plan.pi] == np.arange(3)).all()
+
+    def test_keeps_callers_array_writeable(self):
+        pi = np.arange(3)
+        plan = Plan(pi=pi, squared_cost_sum=0.0)
+        pi[0] = 1
+        np.testing.assert_array_equal(plan.pi, [0, 1, 2])
+        with pytest.raises(ValueError):
+            plan.pi[0] = 1
 
     def test_cost_skips_unassigned(self):
         rng = np.random.default_rng(7)

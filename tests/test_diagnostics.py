@@ -148,11 +148,23 @@ class TestUniformPopulation:
 
     def test_population_thresholds_are_dyadic_midpoints(self):
         pop = UniformPopulation(d=2)
-        vec = dict(((h, k), m) for h, k, m in pop.threshold_vector(3))
-        assert vec[(0, 0)] == 0.5
-        assert vec[(1, 0)] == 0.5 and vec[(1, 1)] == 0.5
-        assert vec[(2, 0)] == 0.25 and vec[(2, 1)] == 0.25
-        assert vec[(2, 2)] == 0.75 and vec[(2, 3)] == 0.75
+        assert pop.threshold(0, 0) == 0.5
+        assert pop.threshold(1, 0) == 0.5 and pop.threshold(1, 1) == 0.5
+        assert pop.threshold(2, 0) == 0.25 and pop.threshold(2, 1) == 0.25
+        assert pop.threshold(2, 2) == 0.75 and pop.threshold(2, 3) == 0.75
+        # Oracle: narrow the cell's box digit by digit, then take its midpoint.
+        for d in (1, 2, 3):
+            pop = UniformPopulation(d=d)
+            for h in range(5):
+                for k in range(1 << h):
+                    lo, hi = np.zeros(d), np.ones(d)
+                    for p in range(h):
+                        mid = 0.5 * (lo[p % d] + hi[p % d])
+                        if (k >> (h - 1 - p)) & 1:
+                            lo[p % d] = mid
+                        else:
+                            hi[p % d] = mid
+                    assert pop.threshold(h, k) == 0.5 * (lo[h % d] + hi[h % d])
 
     def test_rejects_out_of_box(self):
         pop = UniformPopulation(d=1)

@@ -3,8 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from rrmatch.core import CapExceededError, Plan, PointCloud, SizeMismatchError, plan_squared_cost
+from rrmatch.core import (
+    CapExceededError,
+    Plan,
+    PointCloud,
+    SizeMismatchError,
+    derive_rng,
+    plan_squared_cost,
+)
 from rrmatch.matching import (
+    _TAG_VARIANT,
     RunVariant,
     _cycle_labels,
     exact_w2,
@@ -15,6 +23,7 @@ from rrmatch.matching import (
     rrm_plan,
     squared_distance_matrix,
 )
+from rrmatch.partition import tree_curve_order
 
 
 def _random_pair(rng, n, d):
@@ -272,13 +281,34 @@ class TestExactW2:
 class TestRunVariant:
     def test_rotation_must_be_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            RunVariant(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]), schedule=__import__("rrmatch").AxisSchedule.cycling(2))
+            RunVariant(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_random_rotation_is_orthogonal(self):
         for d in (1, 2, 3, 7):
             v = RunVariant.random(d, seed=4, index=2)
             gram = v.rotation.T @ v.rotation
             np.testing.assert_allclose(gram, np.eye(d), atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_random_variant_is_a_start_axis_cycle(self, d):
+        # The rule the rolled rotation replaces: rotate by the Haar q, then
+        # split along axis (start + h) mod d at depth h, here by reordering
+        # the rotated columns.  Plans must match it byte for byte.
+        rng = np.random.default_rng(d)
+        X, Y = _random_pair(rng, 300, d)
+        for index in (1, 2, 3, 7, 11):
+            draws = derive_rng(5, _TAG_VARIANT, index)
+            q, r = np.linalg.qr(draws.standard_normal((d, d)))
+            q = q * np.sign(np.diag(r))
+            start = int(draws.integers(d))
+            cycle = [(start + h) % d for h in range(d)]
+            pi = np.empty(X.n, dtype=np.int64)
+            pi[tree_curve_order((X.coords @ q.T)[:, cycle])] = tree_curve_order(
+                (Y.coords @ q.T)[:, cycle]
+            )
+            plan = rrm_plan(X, Y, RunVariant.random(d, 5, index))
+            assert plan.pi.tobytes() == pi.tobytes()
+            assert plan.squared_cost_sum == plan_squared_cost(X, Y, pi)
 
     def test_identity_variant_reproduces_canonical_plan(self):
         rng = np.random.default_rng(20)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.partition import (
-    AxisSchedule,
     _rank_bits,
     _stable_order,
     build_tree,
@@ -23,8 +22,8 @@ def _codes_as_strings(codes, depth):
     return [format(int(c), f"0{depth}b") for c in codes]
 
 
-def lexsort_build_tree(coords, depth, schedule):
-    """Reference build: one lexsort by (cell, coordinate) per level.
+def lexsort_build_tree(coords, depth):
+    """Reference build: one lexsort by (cell, coordinate along axis h mod d) per level.
 
     Returns the packed codes and the split thresholds (h, k, m) in (h, k) order.
     """
@@ -33,7 +32,7 @@ def lexsort_build_tree(coords, depth, schedule):
     codes = np.zeros(n, dtype=np.uint64)
     thresholds = []
     for h in range(depth):
-        key = coords[:, schedule.axis(h)]
+        key = coords[:, h % coords.shape[1]]
         order = np.lexsort((key, cell))
         sorted_cell = cell[order]
 
@@ -78,12 +77,12 @@ def _assert_order_of(order, codes, depth):
         _assert_same_bytes(order, np.argsort(codes, kind="stable"))
 
 
-def _assert_matches_reference(coords, depth, schedule):
+def _assert_matches_reference(coords, depth):
     X = PointCloud(coords)
-    order, codes = build_tree(X, depth, schedule)
-    ref_codes, ref_thresholds = lexsort_build_tree(coords, depth, schedule)
+    order, codes = build_tree(X, depth)
+    ref_codes, ref_thresholds = lexsort_build_tree(coords, depth)
     _assert_same_bytes(codes, ref_codes)
-    _assert_same_thresholds(split_thresholds(X, depth, schedule), ref_thresholds)
+    _assert_same_thresholds(split_thresholds(X, depth), ref_thresholds)
     _assert_order_of(order, codes, depth)
 
 
@@ -108,7 +107,7 @@ def _tied_coords(kind, rng, n, d):
 @st.composite
 def tree_inputs(draw):
     """Clouds with ties (duplicates, integer grids, clipping, signed zeros,
-    a constant column), schedules, and depths 1..63."""
+    a constant column), column permutations, and depths 1..63."""
     n = draw(st.integers(min_value=1, max_value=80))
     d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -125,15 +124,13 @@ def tree_inputs(draw):
         coords = rng.integers(0, 3, (n, d)).astype(np.float64)
     else:
         coords = _tied_coords(kind, rng, n, d)
-    if draw(st.booleans()):
-        schedule = AxisSchedule.cycling(d, draw(st.integers(min_value=0, max_value=d - 1)))
-    else:
-        schedule = AxisSchedule.permuted(tuple(draw(st.permutations(range(d)))))
+    # A column permutation changes which coordinate each level splits on.
+    coords = coords[:, draw(st.permutations(range(d)))]
     depth = draw(st.one_of(
         st.integers(min_value=1, max_value=63),
         st.integers(min_value=1, max_value=full_depth(n) + 2),
     ))
-    return coords, depth, schedule
+    return coords, depth
 
 
 class TestBuildTree:
@@ -215,14 +212,14 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("depth", [1, 2, 63])
     def test_single_point_matches_lexsort_reference(self, depth):
-        _assert_matches_reference(np.array([[0.3, 0.7]]), depth, AxisSchedule.cycling(2))
+        _assert_matches_reference(np.array([[0.3, 0.7]]), depth)
 
     @pytest.mark.parametrize("n", [4097, 6000, 65536, 65537])
     def test_matches_lexsort_reference_at_scale(self, n):
         # Wide rank fields, both key widths (2 * bits <= 32 and above), the
         # tie repair, and the singleton skip over the two levels past full depth.
         coords = _tied_coords("clipped", np.random.default_rng(n), n, 3)
-        _assert_matches_reference(coords, full_depth(n) + 2, AxisSchedule.cycling(3))
+        _assert_matches_reference(coords, full_depth(n) + 2)
 
     def test_sort_key_packing_bound(self):
         assert _rank_bits(1) == 0
@@ -277,15 +274,15 @@ class TestTreeCurveOrder:
     ])
     def test_order_is_pinned(self, spec, which, digest):
         # Any change to the ordering kernel must keep this order.  Only the
-        # unrotated (identity) schedule is pinned: rotations go through a
-        # BLAS-dependent QR.
+        # unrotated clouds are pinned: rotations go through a BLAS-dependent QR.
         order = tree_curve_order(gen(spec)[which])
         assert order.dtype == np.int64
         assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_start_axis_changes_order(self):
-        X = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
-        order = tree_curve_order(X, AxisSchedule.cycling(2, start_axis=1))
+        # Starting the cycle at axis 1 is a column swap: rows before columns.
+        coords = np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]])
+        order = tree_curve_order(PointCloud(coords[:, ::-1]))
         np.testing.assert_array_equal(order, [0, 1, 2, 3])
 
 
@@ -335,18 +332,3 @@ class TestThresholds:
         expected = np.sort(doubled)[(18 + 1) // 2 - 1]  # brute force over sorted order
         assert m == expected
 
-
-class TestAxisSchedule:
-    def test_cycling_matches_modular_rule(self):
-        s = AxisSchedule.cycling(3)
-        assert [s.axis(h) for h in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_permuted(self):
-        s = AxisSchedule.permuted((2, 0, 1))
-        assert [s.axis(h) for h in range(4)] == [2, 0, 1, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AxisSchedule.cycling(2, start_axis=2)
-        with pytest.raises(ValueError):
-            AxisSchedule.permuted((0, 0, 1))
