@@ -166,9 +166,15 @@ def _check_pair(
     return X, Y
 
 
+def _pair_diff(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Rows ``x[i] - y[pi[i]]``, gathered into one buffer and subtracted in place."""
+    buf = np.take(y, pi, axis=0)
+    return np.subtract(x, buf, out=buf)
+
+
 def _pair_costs(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Per-row squared distances ``||x[i] - y[pi[i]]||^2`` of a complete assignment."""
-    diff = x - y[pi]
+    diff = _pair_diff(x, y, pi)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -176,7 +182,7 @@ def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
     """Recompute the squared-cost sum of a (partial) assignment from scratch."""
     X, Y = _as_cloud(X), _as_cloud(Y)
     pi = np.asarray(pi, dtype=np.int64)
-    diff = X.coords - Y.coords[pi]
+    diff = _pair_diff(X.coords, Y.coords, pi)
     diff[pi == UNASSIGNED] = 0.0
     return float(np.einsum("ij,ij->", diff, diff))
 

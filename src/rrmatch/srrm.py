@@ -21,6 +21,7 @@ from rrmatch.core import (
     Plan,
     PointCloud,
     RngSeed,
+    SizeMismatchError,
     _as_cloud,
     _check_pair,
     derive_rng,
@@ -139,6 +140,8 @@ def finalize_hungarian(
     cost; committed entries are untouched.
     """
     X, Y = _check_pair(X, Y)
+    if partial.n != X.n:
+        raise SizeMismatchError("plan size does not match cloud size")
     pi = partial.pi.copy()
     rows = np.flatnonzero(pi == UNASSIGNED)
     if rows.size == 0:
@@ -146,8 +149,6 @@ def finalize_hungarian(
     used = np.zeros(X.n, dtype=bool)
     used[pi[pi != UNASSIGNED]] = True
     cols = np.flatnonzero(~used)
-    if rows.size != cols.size:
-        raise ValueError("partial plan is inconsistent: unassigned rows != unused columns")
     if rows.size > cap:
         raise CapExceededError(
             f"residual assignment of size {rows.size} exceeds cap {cap}; "

@@ -1,10 +1,15 @@
 import itertools
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from rrmatch import matching
 from rrmatch.core import (
     CapExceededError,
+    InvalidCloudError,
     Plan,
     PointCloud,
     SizeMismatchError,
@@ -73,6 +78,97 @@ class TestRrmPlan:
         assert plan.squared_cost_sum == pytest.approx(
             plan_squared_cost(X, Y, plan.pi), rel=1e-12
         )
+
+
+def _serial_rrm_plan(X, Y, variant):
+    """rrm_plan as one thread computes it: X's ordering, then Y's."""
+    rot = variant.rotation
+    pi = np.empty(X.n, dtype=np.int64)
+    pi[tree_curve_order(X.coords @ rot.T)] = tree_curve_order(Y.coords @ rot.T)
+    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
+
+
+def _send_merged_cost(X, Y, conn):
+    conn.send(merged_rrm(X, Y, 2).squared_cost_sum)
+    conn.close()
+
+
+class TestHelperThread:
+    """From 2**15 points on, rrm_plan orders Y on a helper thread."""
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**16])
+    def test_plans_match_serial_reference(self, n):
+        X, Y = _random_pair(np.random.default_rng(n), n, 2)
+        variant = RunVariant.random(2, 3, 1)
+        plan, ref = rrm_plan(X, Y, variant), _serial_rrm_plan(X, Y, variant)
+        assert plan.pi.tobytes() == ref.pi.tobytes()
+        assert plan.squared_cost_sum == ref.squared_cost_sum
+
+        ref = _serial_rrm_plan(X, Y, RunVariant.identity(2))
+        for i in (1, 2):
+            ref = merge_pair(ref, _serial_rrm_plan(X, Y, RunVariant.random(2, 7, i)), X, Y)
+        merged = merged_rrm(X, Y, 3, seed=7)
+        assert merged.pi.tobytes() == ref.pi.tobytes()
+        assert merged.squared_cost_sum == ref.squared_cost_sum
+
+    @pytest.mark.parametrize(
+        "n, affinity, cpu_count, threads",
+        [
+            (2**15, {0, 1}, 2, 2),
+            (2**15 - 1, {0, 1}, 2, 1),
+            (2**15, {0}, 2, 1),
+            (2**15, None, 2, 2),  # no affinity call: fall back to cpu_count
+            (2**15, None, 1, 1),
+        ],
+    )
+    def test_helper_only_when_large_and_multicore(self, monkeypatch, n, affinity, cpu_count, threads):
+        seen = []
+
+        def recording_order(X):
+            seen.append(threading.get_ident())
+            return tree_curve_order(X)
+
+        monkeypatch.setattr(matching, "tree_curve_order", recording_order)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        X, Y = _random_pair(np.random.default_rng(0), n, 2)
+        alive = threading.active_count()
+        rrm_plan(X, Y)
+        assert len(seen) == 2 and threading.get_ident() in seen
+        assert len(set(seen)) == threads
+        assert threading.active_count() == alive  # the helper is gone
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15])
+    def test_ordering_error_reaches_caller_unchanged(self, n):
+        # Rotating 1.5e308 overflows to inf, which Y's ordering rejects.
+        X = PointCloud(np.random.default_rng(1).random((n, 2)))
+        Y = PointCloud(np.full((n, 2), 1.5e308))
+        with pytest.raises(InvalidCloudError, match="non-finite coordinate"):
+            rrm_plan(X, Y, RunVariant.random(2, 0, 1))
+
+    def test_fork_child_after_parent_call(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        X, Y = _random_pair(np.random.default_rng(2), 2**15, 2)
+        expected = merged_rrm(X, Y, 2).squared_cost_sum
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_merged_cost, args=(X, Y, send))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "forked child gave no answer within 60 s"
+            assert recv.recv() == expected
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 class TestMetricAxioms:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrmatch.core import CapExceededError, Plan, PointCloud, UNASSIGNED, derive_rng
+from rrmatch.core import CapExceededError, Plan, PointCloud, SizeMismatchError, UNASSIGNED, derive_rng
 from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_distance, squared_distance_matrix
 from rrmatch.srrm import SrrmConfig, finalize_hungarian, sample_near, select, srrm_match
 
@@ -125,6 +125,16 @@ class TestFinalize:
         )
         assert completed.squared_cost_sum - committed == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(completed.pi[:4], pi[:4])
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_plan_size_must_match_clouds(self, size):
+        rng = np.random.default_rng(9)
+        X = PointCloud(rng.random((6, 2)))
+        Y = PointCloud(rng.random((6, 2)))
+        pi = np.full(size, UNASSIGNED)
+        pi[0] = 0
+        with pytest.raises(SizeMismatchError, match="plan size"):
+            finalize_hungarian(X, Y, Plan(pi=pi, squared_cost_sum=0.0))
 
     def test_cap(self):
         rng = np.random.default_rng(9)
