@@ -102,7 +102,9 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
     thread orders X; the ordering's sorts release the GIL, so the two overlap.
     Each ordering is a pure function of its cloud, so the plan is identical
     to the serial one, and an error in Y's ordering is raised in the caller
-    unchanged.  Below that size the thread costs more than it saves.
+    unchanged.  Below that size the thread costs more than it saves; on one
+    CPU the two orderings only interleave, which holds both at once and was
+    slower.
     """
     X, Y = _check_pair(X, Y)
     variant = variant or RunVariant.identity(X.d)

@@ -56,7 +56,7 @@ def _children(sizes: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The first ceil(size/2) points of a cell form its left child, which every
     cell keeps; split cells also get a right child.  Children are interleaved
     (left, right) per cell before the empty ones are dropped; only the level
-    that reaches ``full_depth`` can have empty ones.
+    that reaches depth ``full_depth(n)`` and deeper ones can have empty ones.
     """
     children = np.empty(2 * sizes.size, dtype=np.int64)
     np.add(sizes, 1, out=children[0::2])
@@ -88,8 +88,7 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     (uint32 while ``2 * bits <= 32``, else int64).  The first ``ceil(size/2)``
     points of each sorted cell form its left child, so the children's sizes
     and paths follow from the parents' alone.  Level 0 (one cell) is already
-    in rank order.  Every cell is a singleton after ``full_depth(n)`` levels,
-    so deeper levels only shift the paths.
+    in rank order, and once every cell is a singleton the sort is skipped.
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
@@ -113,20 +112,17 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     mask = (1 << bits) - 1
     # Keys below 2**32 sort about twice as fast as int64 keys.
     key_dtype = np.uint32 if 2 * bits <= 32 else np.int64
-    # Every cell is a singleton after full_depth(n) levels; later levels only
-    # shift the paths.
-    levels = min(depth, full_depth(n))
     # by_rank[a][r] is the point of stable rank r along axis a.
-    by_rank = [_stable_order(coords[:, a], bits) for a in range(min(levels, d))]
+    by_rank = [_stable_order(coords[:, a], bits) for a in range(min(depth, d))]
     # moves[a][r] is the rank along axis (a + 1) % d of the point of rank r along axis a.
     moves = []
-    for a in range(min(levels - 1, d)):
+    for a in range(min(depth - 1, d)):
         rank_b = np.empty(n, dtype=key_dtype)
         rank_b[by_rank[(a + 1) % d]] = np.arange(n, dtype=key_dtype)
         moves.append(rank_b[by_rank[a]])
-    # Only the last split axis's ranking is read again, by the final gather.
-    # Dropping the others now, and the moves after the loop, lowers the peak.
-    last = by_rank[(levels - 1) % d]
+    # Only the last split axis's ranking is read again, by the final gather;
+    # dropping the others now lowers the peak.
+    last = by_rank[(depth - 1) % d]
     del by_rank
 
     # Per point, grouped by cell with cells in path order: its rank along the
@@ -135,19 +131,17 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     sizes = np.full(1, n, dtype=np.int64)  # per cell: its point count
     path = np.zeros(1, dtype=np.int64)  # per cell: its path code
 
-    for h in range(levels):
+    for h in range(depth):
         if h > 0:
             ranks = np.take(moves[(h - 1) % d], ranks)
-            # Unique keys sort by (cell, coordinate, input index) in one integer sort.
-            key = np.repeat(np.arange(path.size, dtype=key_dtype), sizes)
-            key <<= bits
-            key |= ranks
-            key.sort()
-            key &= mask
-            ranks = key
+            if path.size < n:
+                # Unique keys sort by (cell, coordinate, input index) in one integer sort.
+                key = np.repeat(np.arange(path.size, dtype=key_dtype), sizes) << bits
+                key |= ranks
+                key.sort()
+                key &= mask
+                ranks = key
         sizes, path = _children(sizes, path)
-    del moves
-    path <<= depth - levels
 
     order = last[ranks]
     codes = np.empty(n, dtype=np.uint64)
