@@ -138,6 +138,15 @@ def _plan_for_method(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _timed_plan(
+    method: str, X: PointCloud, Y: PointCloud, args: argparse.Namespace
+) -> tuple[Plan, dict, float]:
+    """:func:`_plan_for_method` plus its wall time in milliseconds."""
+    t0 = time.perf_counter()
+    plan, params = _plan_for_method(method, X, Y, args)
+    return plan, params, 1000.0 * (time.perf_counter() - t0)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -182,9 +191,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_distance(args: argparse.Namespace) -> int:
     X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
     X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    t0 = time.perf_counter()
-    plan, params = _plan_for_method(args.method, X, Y, args)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    plan, params, wall_ms = _timed_plan(args.method, X, Y, args)
     record = {
         "command": "distance",
         "method": args.method,
@@ -204,9 +211,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
     X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    t0 = time.perf_counter()
-    plan, params = _plan_for_method(args.method, X, Y, args)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    plan, params, wall_ms = _timed_plan(args.method, X, Y, args)
     # Cost is reported in the file coordinates so it can be re-derived from them.
     cost = plan_squared_cost(X0, Y0, plan.pi)
     out = Path(args.out)
@@ -277,11 +282,12 @@ def cmd_plateau(args: argparse.Namespace) -> int:
         for rep in range(args.reps):
             cell_seed = derive_seed(args.seed, _TAG_CLI, gi, rep)
             X, Y = gen(dataclasses.replace(grid_spec, seed=cell_seed))
-            exact_value = exact_w2(X, Y, cap) if X.n <= cap else None
+            # One exact solve per cell gives both the exact_w2 field and,
+            # when requested, the exact method's record.
+            solved = {"exact": _timed_plan("exact", X, Y, args)} if X.n <= cap else {}
+            exact_value = solved["exact"][0].rms if solved else None
             for method in args.methods:
-                t0 = time.perf_counter()
-                plan, params = _plan_for_method(method, X, Y, args)
-                wall_ms = 1000.0 * (time.perf_counter() - t0)
+                plan, params, wall_ms = solved.get(method) or _timed_plan(method, X, Y, args)
                 report = plateau_decomposition(
                     X, Y, plan, LastMileParams(depth=diag_depth, d=X.d)
                 )
@@ -357,9 +363,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 if Y is None:
                     second = dataclasses.replace(spec, seed=derive_seed(cell_seed, 1))
                     Y = gen(second)[0]
-                t0 = time.perf_counter()
-                plan, params = _plan_for_method(method, X, Y, args)
-                walls.append(1000.0 * (time.perf_counter() - t0))
+                plan, params, wall_ms = _timed_plan(method, X, Y, args)
+                walls.append(wall_ms)
                 if method == "srrm":
                     histories.append(params["history"])
             record = {

@@ -43,6 +43,13 @@ _TAG_VARIANT = 1
 #: about twice as long with the thread at n=2000; the two break even near 2**14.
 _OVERLAP_MIN_N = 2**15
 
+#: Warm start of the exact assignment: Sinkhorn scaling passes, and the
+#: entropic temperature as a fraction of the mean reduced cost.  At n=1024 on
+#: a clipped gaussian pair, 10 passes left the solve at half its cold time
+#: and 30 at a tenth; 0.01 and 0.05 of the mean were 2-3x slower than 0.02.
+_WARM_PASSES = 30
+_WARM_EPS = 0.02
+
 
 @dataclass(frozen=True)
 class RunVariant:
@@ -197,11 +204,61 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     return merged
 
 
-def hungarian(cost: np.ndarray) -> Plan:
-    """Exact minimum-cost complete assignment for a square cost matrix.
+def _reduced_costs(cost: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write ``cost - a·1ᵀ - 1·bᵀ`` into ``work``, with warm-start potentials a, b.
 
-    Backed by SciPy's shortest-augmenting-path solver; only the optimal total
-    cost is contracted, not which optimum is returned among ties.
+    a and b start as the row minima and then the column minima of what is
+    left.  The reduced matrix then holds an exact zero in every row and
+    column, so its kernel ``exp(-reduced / eps)`` holds an exact 1 in each,
+    and a fixed number of Sinkhorn scaling passes on that kernel never
+    divides by zero.  ``eps`` is a fixed fraction of the mean reduced cost,
+    so the potentials scale with the costs and do not depend on units.
+    ``eps * log`` of the scalings is folded into a and b, clipped to the
+    reduced range so the potentials stay finite and on the cost's scale even
+    if a scaling overflowed (none has on any matrix tried; they stayed within
+    0.65 of that range).  A constant matrix (mean 0), or one whose mean
+    overflows, keeps the min-reductions alone.  The kernel reuses ``work``;
+    the reduced matrix is rebuilt from ``cost`` at the end.
+    """
+    a = cost.min(axis=1)
+    np.subtract(cost, a[:, None], out=work)
+    b = work.min(axis=0)
+    work -= b
+    with np.errstate(over="ignore"):
+        eps = _WARM_EPS * float(work.mean())
+    if not 0.0 < eps < math.inf:
+        return work
+    hi = float(work.max())
+    np.divide(work, -eps, out=work)
+    np.exp(work, out=work)
+    v = np.ones(work.shape[1])
+    for _ in range(_WARM_PASSES):
+        u = 1.0 / (work @ v)
+        v = 1.0 / (u @ work)
+    a += np.clip(eps * np.log(u), -hi, hi)
+    b += np.clip(eps * np.log(v), -hi, hi)
+    np.subtract(cost, a[:, None], out=work)
+    work -= b
+    return work
+
+
+def hungarian(cost: np.ndarray) -> Plan:
+    """Exact minimum-cost complete assignment for a square nonnegative cost matrix.
+
+    Backed by SciPy's shortest-augmenting-path solver, run on the reduced
+    matrix ``cost - a·1ᵀ - 1·bᵀ`` of :func:`_reduced_costs`.  Every complete
+    assignment uses each row and each column once, so the reduction lowers
+    every assignment's total by the same ``sum(a) + sum(b)``: the optimal
+    assignments are those of ``cost``, and the total is read from ``cost``.
+    Starting from these near-optimal potentials instead of zero keeps the
+    augmenting paths short (Jonker & Volgenant's initialisation, with the
+    potentials from Sinkhorn scaling): at n=1024 on a clipped gaussian pair
+    the solve took about 0.1 s instead of 1.2 s.  The price is one n×n work
+    buffer and about 70 passes over it (60 of them matrix-vector products),
+    about 30 ms at n=1024, which is most of the time on instances that were
+    already easy.  Entries must be >= 0, so the total is never negative.
+    Only the optimal total cost is contracted, not which optimum is
+    returned among ties.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -210,24 +267,30 @@ def hungarian(cost: np.ndarray) -> Plan:
         raise ValueError("cost matrix must be at least 1x1")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
+    if (cost < 0.0).any():
+        i, j = np.unravel_index(np.argmax(cost < 0.0), cost.shape)
+        raise ValueError(f"cost matrix has a negative entry {float(cost[i, j])!r} at ({i}, {j})")
+    rows, cols = linear_sum_assignment(_reduced_costs(cost, np.empty(cost.shape)))
     pi = np.empty(cost.shape[0], dtype=np.int64)
     pi[rows] = cols
-    total = float(cost[rows, cols].sum())
-    return Plan(pi=pi, squared_cost_sum=max(total, 0.0))
+    return Plan(pi=pi, squared_cost_sum=float(cost[rows, cols].sum()))
 
 
 def squared_distance_matrix(X: PointCloud, Y: PointCloud) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at zero."""
+    """Pairwise squared Euclidean distances, clamped at zero in place."""
     X, Y = _as_cloud(X), _as_cloud(Y)
-    return np.maximum(cdist(X.coords, Y.coords, "sqeuclidean"), 0.0)
+    d2 = cdist(X.coords, Y.coords, "sqeuclidean")
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def exact_w2(X: PointCloud, Y: PointCloud, cap: int = 1024) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds.
 
-    Solves the full assignment problem on squared distances; refuses to run
-    above ``cap`` points, where the surrogate methods are the intended tool.
+    Solves the full assignment problem on squared distances with
+    :func:`hungarian`, whose warm-start reduction leaves the optimal total
+    unchanged; refuses to run above ``cap`` points, where the surrogate
+    methods are the intended tool.  Peak memory is two n×n float64 arrays
+    (the distances and the solver's work buffer, 16 MiB at n=1024).
     """
     X, Y = _check_pair(X, Y)
     if X.n > cap:

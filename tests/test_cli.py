@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from rrmatch import matching
 from rrmatch.cli import main
 from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_point_cloud
 from rrmatch.matching import hungarian, squared_distance_matrix
@@ -235,6 +237,25 @@ class TestPlateauCommand:
         for r in records:
             assert r["rrm_sq"] >= r["lower_bound"] - 1e-12
             assert r["exact_w2"] is not None  # n=256 under the default cap
+
+    def test_exact_solved_once_per_cell(self, tmp_path, monkeypatch):
+        solves = []
+
+        def counting(cost):
+            solves.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+        out = tmp_path / "plateau.jsonl"
+        assert run("plateau", "--family", "line-mixture", "--grid", "0,1", "--n", 64,
+                   "--methods", "rrm,exact", "--reps", 1, "--seed", 3, "--out", out) == 0
+        assert solves == [(64, 64)] * 2  # one per grid point
+        exact = [r for r in read_jsonl(out) if r["method"] == "exact"]
+        assert len(exact) == 2
+        for r in exact:
+            assert r["value"] == r["exact_w2"]
+            assert r["params"] == {"cap": 1024}
+            assert r["wall_ms"] > 0.0
 
     def test_exact_column_elided_above_cap(self, tmp_path):
         out = tmp_path / "plateau.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -5,8 +6,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from rrmatch import matching
+from rrmatch import generators, matching
 from rrmatch.core import (
     CapExceededError,
     InvalidCloudError,
@@ -20,6 +24,7 @@ from rrmatch.matching import (
     _TAG_VARIANT,
     RunVariant,
     _cycle_labels,
+    _reduced_costs,
     exact_w2,
     hungarian,
     merge_pair,
@@ -342,6 +347,76 @@ class TestHungarian:
         with pytest.raises(ValueError, match="square"):
             hungarian(np.ones((2, 3)))
 
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ValueError, match=r"negative entry -1.0 at \(0, 0\)"):
+            hungarian(np.array([[-1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError, match=r"-1e-300 at \(1, 0\)"):
+            hungarian(np.array([[0.0, 1.0], [-1e-300, 1.0]]))
+
+    def test_negative_zero_is_not_negative(self):
+        plan = hungarian(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        np.testing.assert_array_equal(plan.pi, [0, 1])
+        assert plan.squared_cost_sum == 0.0
+
+    def test_mean_overflow_keeps_min_reductions(self):
+        big = np.finfo(np.float64).max / 2
+        plan = hungarian(np.array([[0.0, big, big], [big, big, 0.0], [big, 0.0, big]]))
+        np.testing.assert_array_equal(plan.pi, [0, 2, 1])
+        assert plan.squared_cost_sum == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(("random", *generators.FAMILIES, "ties", "constant", "spread")),
+        n=st.integers(1, 24),
+        scale=st.sampled_from((1e-6, 1.0, 1e6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_total_matches_plain_solver(self, kind, n, scale, seed):
+        cost = scale * _cost_matrix(kind, n, seed)
+        rows, cols = linear_sum_assignment(cost)
+        want = cost[rows, cols].sum()
+        got = hungarian(cost).squared_cost_sum
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("kind", ("random", "gaussian-pair", "ties", "constant", "spread"))
+    def test_reduction_scales_with_the_costs(self, kind):
+        # Powers of two scale every step exactly, so a temperature fixed in
+        # absolute units, not relative to the costs, shows as a mismatch.
+        cost = _cost_matrix(kind, 40, 3)
+        base = _reduced_costs(cost, np.empty(cost.shape))
+        for k in (-20, 20):
+            scaled = _reduced_costs(2.0**k * cost, np.empty(cost.shape))
+            np.testing.assert_array_equal(scaled, 2.0**k * base)
+
+    def test_reduction_prices_the_optimum_near_zero(self):
+        cost = _cost_matrix("gaussian-pair", 200, 5)
+        reduced = _reduced_costs(cost, np.empty(cost.shape))
+        rows, cols = linear_sum_assignment(cost)
+        spread = cost.max() - cost.min()
+        assert np.isfinite(reduced).all()
+        assert np.abs(reduced[rows, cols]).max() <= 0.05 * spread
+
+
+def _cost_matrix(kind, n, seed):
+    """Nonnegative n x n test matrix of the named kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((n, n))
+    if kind == "ties":  # duplicated points: many optimal assignments
+        X = PointCloud(rng.integers(0, 3, (n, 2)).astype(np.float64))
+        Y = PointCloud(rng.integers(0, 3, (n, 2)).astype(np.float64))
+        return squared_distance_matrix(X, Y)
+    if kind == "constant":  # reduced scale 0
+        return np.full((n, n), rng.random())
+    if kind == "spread":  # entries from 1 to 1e6
+        return 10.0 ** rng.uniform(0.0, 6.0, (n, n))
+    spec = generators.GeneratorSpec(kind, n=n, seed=seed, t=0.5, frac_bads=0.3, delta=0.2,
+                                    alpha=0.05)
+    X, Y = generators.gen(spec)
+    if Y is None:
+        Y, _ = generators.gen(dataclasses.replace(spec, seed=seed + 1))
+    return squared_distance_matrix(X, Y)
+
 
 class TestExactW2:
     def test_self_distance_zero(self):
@@ -366,6 +441,22 @@ class TestExactW2:
             m = merged_rrm(X, Y, 8, seed=trial).rms
             r = rrm_distance(X, Y)
             assert e <= m + 1e-12 <= r + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        log_s=st.floats(-3.0, 3.0),
+        shift=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scale_and_translation_equivariant(self, n, d, log_s, shift, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.random((n, d)), rng.random((n, d))
+        s, b = 10.0**log_s, shift + rng.random(d)
+        base = exact_w2(PointCloud(x), PointCloud(y))
+        moved = exact_w2(PointCloud(s * x + b), PointCloud(s * y + b))
+        assert moved == pytest.approx(s * base, rel=1e-9)
 
     def test_cap(self):
         rng = np.random.default_rng(19)
