@@ -1,6 +1,6 @@
 """Command-line interface: generators, distance/match commands, and experiment runners.
 
-Subcommands: gen, distance, match, flow, plateau, converge, bench.  Every
+Subcommands: gen, distance, match, flow, plateau, converge.  Every
 result is a self-describing JSON record (one per line when a command emits a
 table).  Exit codes: 0 success, 2 usage error, 3 data error, 4 cap exceeded.
 """
@@ -16,8 +16,6 @@ import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from rrmatch.core import (
     CapExceededError,
@@ -140,11 +138,16 @@ def _plan_for_method(
 
 def _timed_plan(
     method: str, X: PointCloud, Y: PointCloud, args: argparse.Namespace
-) -> tuple[Plan, dict, float]:
-    """:func:`_plan_for_method` plus its wall time in milliseconds."""
+) -> tuple[Plan, dict, dict]:
+    """:func:`_plan_for_method` plus the record's ``timing`` (wall ms, timestamp).
+
+    Records keep everything that varies between identical runs under
+    ``timing``, so the rest of a record compares byte for byte.
+    """
     t0 = time.perf_counter()
     plan, params = _plan_for_method(method, X, Y, args)
-    return plan, params, 1000.0 * (time.perf_counter() - t0)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    return plan, params, {"wall_ms": wall_ms, "timestamp": time.time()}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_distance(args: argparse.Namespace) -> int:
     X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
     X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    plan, params, wall_ms = _timed_plan(args.method, X, Y, args)
+    plan, params, timing = _timed_plan(args.method, X, Y, args)
     record = {
         "command": "distance",
         "method": args.method,
@@ -201,8 +204,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "normalize": args.normalize,
         "params": params,
-        "wall_ms": wall_ms,
-        "timestamp": time.time(),
+        "timing": timing,
     }
     _emit(record, args.out)
     return EXIT_OK
@@ -211,7 +213,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
     X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    plan, params, wall_ms = _timed_plan(args.method, X, Y, args)
+    plan, params, timing = _timed_plan(args.method, X, Y, args)
     # Cost is reported in the file coordinates so it can be re-derived from them.
     cost = plan_squared_cost(X0, Y0, plan.pi)
     out = Path(args.out)
@@ -226,8 +228,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         "squared_cost_sum": cost,
         "rms": math.sqrt(cost / plan.n),
         "params": params,
-        "wall_ms": wall_ms,
-        "timestamp": time.time(),
+        "timing": timing,
     }
     Path(str(out) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
@@ -265,7 +266,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "d": X.d,
         "seed": args.seed,
         "outdir": str(outdir),
-        "timestamp": time.time(),
+        "timing": {"timestamp": time.time()},
     }
     _emit(summary, args.out)
     return EXIT_OK
@@ -287,7 +288,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
             solved = {"exact": _timed_plan("exact", X, Y, args)} if X.n <= cap else {}
             exact_value = solved["exact"][0].rms if solved else None
             for method in args.methods:
-                plan, params, wall_ms = solved.get(method) or _timed_plan(method, X, Y, args)
+                plan, params, timing = solved.get(method) or _timed_plan(method, X, Y, args)
                 report = plateau_decomposition(
                     X, Y, plan, LastMileParams(depth=diag_depth, d=X.d)
                 )
@@ -312,8 +313,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
                         "lower_bound": report.lower_bound,
                         "rrm_sq": report.rrm_sq,
                         "params": params,
-                        "wall_ms": wall_ms,
-                        "timestamp": time.time(),
+                        "timing": timing,
                     }
                 )
     _write_table(records, args.out, args.format)
@@ -346,43 +346,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
             records.append({"command": "converge", "kind": "thresholds", "n": n,
                             "median_max_dev": dev, "d": args.d, "H": args.H,
                             "reps": args.reps, "seed": args.seed})
-    _write_table(records, args.out, args.format)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    records = []
-    for ni, n in enumerate(args.n_list):
-        for method in args.methods:
-            walls = []
-            histories = []
-            for rep in range(args.reps):
-                cell_seed = derive_seed(args.seed, _TAG_CLI, ni, rep)
-                spec = dataclasses.replace(args.spec, seed=cell_seed, n=n)
-                X, Y = gen(spec)
-                if Y is None:
-                    second = dataclasses.replace(spec, seed=derive_seed(cell_seed, 1))
-                    Y = gen(second)[0]
-                plan, params, wall_ms = _timed_plan(method, X, Y, args)
-                walls.append(wall_ms)
-                if method == "srrm":
-                    histories.append(params["history"])
-            record = {
-                "command": "bench",
-                "method": method,
-                "family": args.family,
-                "n": n,
-                "d": args.d,
-                "t": args.t,
-                "reps": args.reps,
-                "seed": args.seed,
-                "median_wall_ms": float(np.median(walls)),
-                "wall_ms_all": walls,
-                "timestamp": time.time(),
-            }
-            if histories:
-                record["histories"] = histories
-            records.append(record)
     _write_table(records, args.out, args.format)
     return EXIT_OK
 
@@ -447,9 +410,7 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
-def _add_common(
-    p: argparse.ArgumentParser, with_method: bool = True, table: bool = False
-) -> None:
+def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="64-bit seed for all randomized steps")
     p.add_argument("--out", default=None, help="append records here instead of stdout")
@@ -459,8 +420,7 @@ def _add_common(
     else:
         p.add_argument("--format", choices=("csv", "pcf"), default=None,
                        help="cloud file format (default: infer from extension)")
-    if with_method:
-        p.add_argument("--method", choices=METHODS, default="srrm")
+    p.add_argument("--method", choices=METHODS, default="srrm")
     p.add_argument("--K", type=_int_at_least(1), default=8, help="merge runs")
     p.add_argument("--R", type=_int_at_least(0), default=10, help="screening rounds")
     p.add_argument("--anchors", type=_int_at_least(0), default=5,
@@ -543,14 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("bench", help="wall-clock table over an n grid")
-    _add_generator_params(p)
-    _add_common(p, with_method=False, table=True)
-    p.add_argument("--n-list", dest="n_list", type=_size_list, required=True)
-    p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
-    p.add_argument("--reps", type=_int_at_least(1), default=3)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -559,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "match" and not args.out:
         parser.error("match requires --out for the permutation file")
-    if args.command in ("gen", "plateau", "bench"):
+    if args.command in ("gen", "plateau"):
         # Built once here, so that a generator parameter out of range is a usage error.
         try:
             args.spec = _spec_from_args(args)

@@ -63,51 +63,33 @@ def nn_baseline(X: PointCloud, Y: PointCloud) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LastMileParams:
-    """Depth calibration for the premature-split diagnostic.
-
-    ``rho`` is the per-split side-length contraction factor (1/2 for densities
-    bounded above and below by the same constant); ``diameter`` the scale at
-    which the calibrated depth reaches zero, defaulting to sqrt(d), the
-    diameter of the unit box.
-    """
+    """Tree depth and dimension for the premature-split diagnostic."""
 
     depth: int
     d: int
-    rho: float = 0.5
-    diameter: float | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.diameter is not None and self.diameter <= 0.0:
-            raise ValueError("diameter must be > 0")
-
-    @property
-    def effective_diameter(self) -> float:
-        return self.diameter if self.diameter is not None else math.sqrt(self.d)
 
 
-def calibrated_depth(dist: float, params: LastMileParams) -> int:
+def calibrated_depth(dist: float | np.ndarray, params: LastMileParams) -> int | np.ndarray:
     """Depth by which a pair at the given distance should still share a cell.
 
-    min(H, ceil(d * log_{1/rho}(C / dist))), clamped at 0, and H at dist = 0.
-    Nonincreasing in dist.
+    min(H, ceil(d * log_2(sqrt(d) / dist))), clamped at 0, and H at dist = 0:
+    each split halves a cell's side (the contraction of densities bounded
+    above and below by the same constant), and sqrt(d), the diameter of the
+    unit box, is the distance at which the depth reaches zero.  Nonincreasing
+    in dist.  A scalar distance gives an int, an array an int64 array.
     """
-    return int(_calibrated_depth_vec(np.asarray([dist], dtype=np.float64), params)[0])
-
-
-def _calibrated_depth_vec(dist: np.ndarray, params: LastMileParams) -> np.ndarray:
+    dist = np.asarray(dist, dtype=np.float64)
     out = np.full(dist.shape, params.depth, dtype=np.int64)
     positive = dist > 0.0
-    if positive.any():
-        ratio = params.effective_diameter / dist[positive]
-        raw = np.ceil(params.d * np.log(ratio) / np.log(1.0 / params.rho))
-        out[positive] = np.clip(raw, 0, params.depth).astype(np.int64)
-    return out
+    ratio = math.sqrt(params.d) / dist[positive]
+    out[positive] = np.clip(np.ceil(params.d * np.log(ratio) / np.log(2.0)), 0, params.depth)
+    return out if out.ndim else int(out)
 
 
 def _centered(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -120,14 +102,14 @@ def _centered(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, np.ndarray]:
 
 def _premature_core(
     x: np.ndarray, y: np.ndarray, params: LastMileParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared machinery: NN squared distances, partners, and bad indices."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared machinery: NN squared distances and bad indices."""
     delta_sq, jnn = _nn_partners(x, y)
     _, codes = build_tree(np.vstack([x, y]), params.depth)
     share = common_prefix_depth(codes[: x.shape[0]], codes[x.shape[0] :][jnn], params.depth)
-    ell = _calibrated_depth_vec(np.sqrt(delta_sq), params)
+    ell = calibrated_depth(np.sqrt(delta_sq), params)
     bad = np.flatnonzero(share < ell).astype(np.int64)
-    return delta_sq, jnn, bad
+    return delta_sq, bad
 
 
 def premature_set(
@@ -141,7 +123,7 @@ def premature_set(
     """
     X, Y = _check_pair(X, Y, equal_size=False)
     x, y = _centered(X, Y)
-    _, _, bad = _premature_core(x, y, params)
+    _, bad = _premature_core(x, y, params)
     return bad, bad.size / X.n
 
 
@@ -154,9 +136,7 @@ class LastMileReport:
     the baseline, and the bound keeps only the excess on the bad set.
     """
 
-    delta: np.ndarray
     nn_term: float
-    bad_set: np.ndarray
     alpha_H: float
     gamma_bar: float
     lower_bound: float
@@ -179,7 +159,7 @@ def plateau_decomposition(
         raise SizeMismatchError("plan size does not match cloud size")
 
     x, y = _centered(X, Y)
-    delta_sq, _, bad = _premature_core(x, y, params)
+    delta_sq, bad = _premature_core(x, y, params)
 
     cost = _pair_costs(x, y, plan.pi)
     gamma = np.maximum(cost - delta_sq, 0.0)
@@ -189,9 +169,7 @@ def plateau_decomposition(
     alpha = bad.size / n
     gamma_bar = float(gamma[bad].mean()) if bad.size else 0.0
     return LastMileReport(
-        delta=np.sqrt(delta_sq),
         nn_term=nn_term,
-        bad_set=bad,
         alpha_H=alpha,
         gamma_bar=gamma_bar,
         lower_bound=nn_term + alpha * gamma_bar,

@@ -171,14 +171,8 @@ def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
     inv_p = p.inverse()
     tau = inv_p[q.pi]  # sources sharing a cycle trade targets between p and q
     labels = _cycle_labels(tau)
-    n_cycles = int(labels.max()) + 1
-
-    cost_p = _pair_costs(X.coords, Y.coords, p.pi)
-    cost_q = _pair_costs(X.coords, Y.coords, q.pi)
-    per_cycle_p = np.zeros(n_cycles)
-    per_cycle_q = np.zeros(n_cycles)
-    np.add.at(per_cycle_p, labels, cost_p)
-    np.add.at(per_cycle_q, labels, cost_q)
+    per_cycle_p = np.bincount(labels, weights=_pair_costs(X.coords, Y.coords, p.pi))
+    per_cycle_q = np.bincount(labels, weights=_pair_costs(X.coords, Y.coords, q.pi))
 
     take_q = per_cycle_q < per_cycle_p
     pi = np.where(take_q[labels], q.pi, p.pi)

@@ -207,8 +207,5 @@ def common_prefix_depth(a: int | np.ndarray, b: int | np.ndarray, depth: int):
 
     Accepts scalars or arrays of packed addresses from the same tree build.
     """
-    if np.isscalar(a) and np.isscalar(b):
-        diff = int(a) ^ int(b)
-        return depth - diff.bit_length()
     diff = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
     return depth - _bit_length_u64(diff)

@@ -42,10 +42,12 @@ _TAG_ANCHOR = 3
 class SrrmConfig:
     """Screening parameters.
 
-    rounds=0 or anchors_per_point=0 degrades to plain merged matching followed
-    by an empty finalization.  ``guard`` keeps one extra merged run and returns
-    whichever complete plan is cheaper, making "never worse than merged" a
-    hard invariant.
+    rounds=0 returns ``merged_rrm(X, Y, merge_runs, seed)``.  With
+    anchors_per_point=0, round 0 matches the real points alone and commits
+    all of them, so the pipeline plan is ``merged_rrm`` seeded with round 0's
+    derived seed, not with ``seed``, and finalization has nothing to do.
+    ``guard`` keeps one extra merged run and returns whichever complete plan
+    is cheaper, making "never worse than merged" a hard invariant.
     """
 
     rounds: int = 10
@@ -203,13 +205,11 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
                 sample_near(ys, k, derive_rng(cfg.seed, _TAG_ANCHOR, r, 1)),
             ]
         )
-        if anchors.shape[0] == 0:
-            xa, ya = xs, ys
-        else:
-            xa = np.vstack([xs, anchors])
-            ya = np.vstack([ys, anchors])
         T = merged_rrm(
-            PointCloud(xa), PointCloud(ya), cfg.merge_runs, derive_seed(cfg.seed, _TAG_ROUND, r)
+            PointCloud(np.vstack([xs, anchors])),
+            PointCloud(np.vstack([ys, anchors])),
+            cfg.merge_runs,
+            derive_seed(cfg.seed, _TAG_ROUND, r),
         )
         good, keep_x, keep_y = select(T, m)
         if good.size:

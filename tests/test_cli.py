@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from rrmatch import matching
-from rrmatch.cli import main
+from rrmatch.cli import build_parser, main
 from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_point_cloud
 from rrmatch.matching import hungarian, squared_distance_matrix
 
@@ -19,7 +22,7 @@ def read_jsonl(path):
 
 
 def strip_volatile(record):
-    return {k: v for k, v in record.items() if k not in ("timestamp", "wall_ms")}
+    return {k: v for k, v in record.items() if k != "timing"}
 
 
 @pytest.fixture()
@@ -95,7 +98,9 @@ class TestDistance:
         for _ in range(2):
             assert run("distance", x, y, "--method", "srrm", "--seed", 11, "--R", 2,
                        "--anchors", 1) == 0
-            records.append(strip_volatile(json.loads(capsys.readouterr().out)))
+            record = json.loads(capsys.readouterr().out)
+            assert set(record["timing"]) == {"wall_ms", "timestamp"}
+            records.append(strip_volatile(record))
         assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 
@@ -108,9 +113,9 @@ class TestUsageErrors:
         (("flow", "{x}", "{y}", "--step", 0, "--outdir", "o"), "--step"),
         (("flow", "{x}", "{y}", "--snapshot-every", 0, "--outdir", "o"), "--snapshot-every"),
         (("converge", "--n-list", "64,0"), "--n-list"),
-        (("bench", "--n-list", "64", "--reps", 0), "--reps"),
+        (("plateau", "--family", "line-mixture", "--grid", "0", "--reps", 0), "--reps"),
         (("gen", "--n", 0, "--out", "o.pcf"), "--n"),
-        (("bench", "--n-list", "64", "--d", 0), "--d"),
+        (("plateau", "--family", "line-mixture", "--grid", "0", "--d", 0), "--d"),
         (("distance", "{x}", "{y}", "--method", "exact", "--cap", -1), "--cap"),
         (("plateau", "--family", "line-mixture", "--grid", "0", "--diag-depth", 64), "--diag-depth"),
         (("converge", "--kind", "thresholds", "--H", 0), "--H"),
@@ -121,7 +126,7 @@ class TestUsageErrors:
         (("distance", "{x}", "{y}", "--seed", -1), "--seed"),
         (("plateau", "--family", "line-mixture", "--grid", "0", "--methods", "rrm,foo"),
          "--methods"),
-        (("bench", "--n-list", "64", "--methods", "foo"), "--methods"),
+        (("plateau", "--family", "line-mixture", "--grid", "0", "--methods", "foo"), "--methods"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, pair_files, capsys, argv, flag):
         x, y = pair_files
@@ -135,7 +140,8 @@ class TestUsageErrors:
         (("gen", "--sigma", 0, "--out", "a.pcf"), "sigma"),
         (("gen", "--family", "perturbed-copy", "--alpha", -1, "--out", "a.pcf", "--out2", "b.pcf"),
          "alpha"),
-        (("bench", "--n-list", "64", "--frac-bads", 1.5), "frac_bads"),
+        (("gen", "--family", "line-mixture", "--frac-bads", 1.5, "--out", "a.pcf", "--out2", "b.pcf"),
+         "frac_bads"),
         (("plateau", "--family", "line-mixture", "--grid", "0,2"), "frac_bads"),
         (("plateau", "--family", "opening-angle", "--grid", "0.1,-1"), "delta"),
     ])
@@ -255,7 +261,7 @@ class TestPlateauCommand:
         for r in exact:
             assert r["value"] == r["exact_w2"]
             assert r["params"] == {"cap": 1024}
-            assert r["wall_ms"] > 0.0
+            assert r["timing"]["wall_ms"] > 0.0
 
     def test_exact_column_elided_above_cap(self, tmp_path):
         out = tmp_path / "plateau.jsonl"
@@ -313,17 +319,11 @@ class TestCsvTables:
         assert "rrm_sq" in header and "alpha_H" in header
 
 
-class TestBenchCommand:
-    def test_bench_records(self, tmp_path):
-        out = tmp_path / "bench.jsonl"
-        assert run("bench", "--family", "uniform-box", "--n-list", "64,128", "--d", 2,
-                   "--methods", "rrm,srrm", "--reps", 2, "--seed", 1, "--R", 2, "--anchors", 1,
-                   "--K", 2, "--out", out) == 0
-        records = read_jsonl(out)
-        assert len(records) == 4
-        srrm_records = [r for r in records if r["method"] == "srrm"]
-        assert all("histories" in r and len(r["histories"]) == 2 for r in srrm_records)
-        assert all(r["median_wall_ms"] > 0 for r in records)
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\| `([a-z]+)` +\|", readme, flags=re.MULTILINE)
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(sub.choices)
 
 
 def test_console_entry_point(tmp_path):

@@ -45,11 +45,11 @@ class TestCalibratedDepth:
         assert calibrated_depth(0.0, p) == 10
 
     def test_box_diameter_returns_zero(self):
-        p = LastMileParams(depth=10, d=2, diameter=math.sqrt(2))
+        p = LastMileParams(depth=10, d=2)
         assert calibrated_depth(math.sqrt(2), p) == 0
 
     def test_closed_form_value(self):
-        p = LastMileParams(depth=10, d=2, rho=0.5, diameter=math.sqrt(2))
+        p = LastMileParams(depth=10, d=2)
         assert calibrated_depth(math.sqrt(2) / 4, p) == 4  # ceil(2 * log2(4))
 
     def test_nonincreasing_in_distance(self):
@@ -58,6 +58,7 @@ class TestCalibratedDepth:
         depths = [calibrated_depth(v, p) for v in dists]
         assert all(a >= b for a, b in zip(depths, depths[1:]))
         assert depths[0] == 12
+        assert calibrated_depth(dists, p).tolist() == depths  # array form, same values
 
 
 class TestPrematureSet:

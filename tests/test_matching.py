@@ -454,9 +454,14 @@ class TestExactW2:
         rng = np.random.default_rng(seed)
         x, y = rng.random((n, d)), rng.random((n, d))
         s, b = 10.0**log_s, shift + rng.random(d)
-        base = exact_w2(PointCloud(x), PointCloud(y))
-        moved = exact_w2(PointCloud(s * x + b), PointCloud(s * y + b))
-        assert moved == pytest.approx(s * base, rel=1e-9)
+        X, Y = PointCloud(x), PointCloud(y)
+        Xm, Ym = PointCloud(s * x + b), PointCloud(s * y + b)
+        assert exact_w2(Xm, Ym) == pytest.approx(s * exact_w2(X, Y), rel=1e-9)
+        # Rank splits see only coordinate order, so the plans themselves stay put.
+        for plan_of in (rrm_plan, lambda P, Q: merged_rrm(P, Q, 4, seed)):
+            base, moved = plan_of(X, Y), plan_of(Xm, Ym)
+            assert moved.pi.tobytes() == base.pi.tobytes()
+            assert moved.squared_cost_sum == pytest.approx(s * s * base.squared_cost_sum, rel=1e-9)
 
     def test_cap(self):
         rng = np.random.default_rng(19)

@@ -303,7 +303,8 @@ class TestCommonPrefixDepth:
         b = rng.integers(0, 2**depth, 200).astype(np.uint64)
         vec = common_prefix_depth(a, b, depth)
         for i in range(200):
-            assert vec[i] == common_prefix_depth(int(a[i]), int(b[i]), depth)
+            expected = depth - (int(a[i]) ^ int(b[i])).bit_length()
+            assert vec[i] == common_prefix_depth(int(a[i]), int(b[i]), depth) == expected
 
 
 class TestThresholds:
