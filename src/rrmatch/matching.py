@@ -198,15 +198,16 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     return merged
 
 
-def _reduced_costs(cost: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _reduced_costs(cost: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write ``cost - a·1ᵀ - 1·bᵀ`` into ``work``, with warm-start potentials a, b.
 
-    a and b start as the row minima and then the column minima of what is
-    left.  The reduced matrix then holds an exact zero in every row and
-    column, so its kernel ``exp(-reduced / eps)`` holds an exact 1 in each,
-    and a fixed number of Sinkhorn scaling passes on that kernel never
-    divides by zero.  ``eps`` is a fixed fraction of the mean reduced cost,
-    so the potentials scale with the costs and do not depend on units.
+    a starts as ``cost``'s row minima, which the caller passes in, and b as
+    the column minima of what is left.  The reduced matrix then holds an
+    exact zero in every row and column, so its kernel ``exp(-reduced / eps)``
+    holds an exact 1 in each, and a fixed number of Sinkhorn scaling passes
+    on that kernel never divides by zero.  ``eps`` is a fixed fraction of
+    the mean reduced cost, so the potentials scale with the costs and do not
+    depend on units.
     ``eps * log`` of the scalings is folded into a and b, clipped to the
     reduced range so the potentials stay finite and on the cost's scale even
     if a scaling overflowed (none has on any matrix tried; they stayed within
@@ -214,7 +215,6 @@ def _reduced_costs(cost: np.ndarray, work: np.ndarray) -> np.ndarray:
     overflows, keeps the min-reductions alone.  The kernel reuses ``work``;
     the reduced matrix is rebuilt from ``cost`` at the end.
     """
-    a = cost.min(axis=1)
     np.subtract(cost, a[:, None], out=work)
     b = work.min(axis=0)
     work -= b
@@ -229,7 +229,7 @@ def _reduced_costs(cost: np.ndarray, work: np.ndarray) -> np.ndarray:
     for _ in range(_WARM_PASSES):
         u = 1.0 / (work @ v)
         v = 1.0 / (u @ work)
-    a += np.clip(eps * np.log(u), -hi, hi)
+    a = a + np.clip(eps * np.log(u), -hi, hi)
     b += np.clip(eps * np.log(v), -hi, hi)
     np.subtract(cost, a[:, None], out=work)
     work -= b
@@ -252,7 +252,11 @@ def hungarian(cost: np.ndarray) -> Plan:
     about 30 ms at n=1024, which is most of the time on instances that were
     already easy.  Entries must be >= 0, so the total is never negative.
     Only the optimal total cost is contracted, not which optimum is
-    returned among ties.
+    returned among ties.  When the row minima sit in pairwise distinct
+    columns they already form an assignment, and its total, the sum of the
+    row minima, bounds every assignment's from below, so it is returned
+    without the warm start or the solve: ``exact_w2`` on identical clouds
+    at n=1024 takes about 5 ms instead of 55 ms, most of it the distances.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -264,10 +268,15 @@ def hungarian(cost: np.ndarray) -> Plan:
     if (cost < 0.0).any():
         i, j = np.unravel_index(np.argmax(cost < 0.0), cost.shape)
         raise ValueError(f"cost matrix has a negative entry {float(cost[i, j])!r} at ({i}, {j})")
-    rows, cols = linear_sum_assignment(_reduced_costs(cost, np.empty(cost.shape)))
+    rows = np.arange(cost.shape[0])
+    cols = cost.argmin(axis=1)
+    row_min = cost[rows, cols]
+    if np.unique(cols).size < cols.size:
+        rows, cols = linear_sum_assignment(_reduced_costs(cost, row_min, np.empty(cost.shape)))
+        row_min = cost[rows, cols]
     pi = np.empty(cost.shape[0], dtype=np.int64)
     pi[rows] = cols
-    return Plan(pi=pi, squared_cost_sum=float(cost[rows, cols].sum()))
+    return Plan(pi=pi, squared_cost_sum=float(row_min.sum()))
 
 
 def squared_distance_matrix(X: PointCloud, Y: PointCloud) -> np.ndarray:

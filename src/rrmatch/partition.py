@@ -7,9 +7,18 @@ per depth; the digits, read most-significant first, form the point's address
 (its packed code), and sorting by address yields the tree-curve order shared
 by every operation downstream.  :func:`build_tree` returns the codes together
 with that order; :func:`split_thresholds` reads the split values off the codes.
+
+Because every split is at the rank median, the cell layout (the sizes and
+paths of the cells at every level, and which sorted positions each holds)
+depends on the point count n alone, never on the coordinates.  It is built
+once per n as a table of full-depth position codes, in a cache of at most 4
+read-only tables of ``n * 4`` bytes (``n * 8`` above n = 2**16); the depth-h
+cell of sorted position i is the top h digits of its entry.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -56,7 +65,7 @@ def _children(sizes: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The first ceil(size/2) points of a cell form its left child, which every
     cell keeps; split cells also get a right child.  Children are interleaved
     (left, right) per cell before the empty ones are dropped; only the level
-    that reaches depth ``full_depth(n)`` and deeper ones can have empty ones.
+    that reaches depth ``full_depth(n)`` can have empty ones.
     """
     children = np.empty(2 * sizes.size, dtype=np.int64)
     np.add(sizes, 1, out=children[0::2])
@@ -71,6 +80,30 @@ def _children(sizes: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return children[kept], child_path[kept]
 
 
+@functools.lru_cache(maxsize=4)
+def _position_codes(n: int) -> np.ndarray:
+    """Full-depth path code of the cell at each sorted position; read-only.
+
+    Rank splitting gives the first ``ceil(size/2)`` points of a cell to its
+    left child, so the sizes and paths of the cells at every level depend on
+    ``n`` alone.  Entry i is the path code, ``full_depth(n)`` digits wide, of
+    the leaf at position i of the tree-curve order; positions nest, so the
+    depth-h cell of position i is its top h digits.  The dtype is that of
+    :func:`build_tree`'s sort key (uint32 while ``2 * bits <= 32``, else
+    int64), so the cache holds at most 4 tables of ``n * 4`` or ``n * 8``
+    bytes.  Callers share the table; it is never written.
+    """
+    bits = _rank_bits(n)
+    sizes = np.full(1, n, dtype=np.int64)
+    path = np.zeros(1, dtype=np.int64)
+    for _ in range(full_depth(n)):
+        sizes, path = _children(sizes, path)
+    # Keys below 2**32 sort about twice as fast as int64 keys.
+    table = path.astype(np.uint32 if 2 * bits <= 32 else np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Partition the points to the given depth: their order and their addresses.
 
@@ -80,25 +113,27 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
 
     Level h splits along axis ``h % d``.  Each axis the build uses is ranked
     once (:func:`_stable_order`), and one table per axis a maps a point's rank
-    along a to its rank along ``(a + 1) % d``.  The loop keeps each point's
-    rank along the current axis, points grouped by cell and cells in path
-    order, plus each cell's size and path code.  A level moves the ranks to
-    its axis and sorts one integer key per point,
-    ``(cell index << bits) | rank`` with ``bits = (n-1).bit_length()``
-    (uint32 while ``2 * bits <= 32``, else int64).  The first ``ceil(size/2)``
-    points of each sorted cell form its left child, so the children's sizes
-    and paths follow from the parents' alone.  Level 0 (one cell) is already
-    in rank order, and once every cell is a singleton the sort is skipped.
+    along a to its rank along ``(a + 1) % d``.  The loop keeps only each
+    point's rank along the current axis, points grouped by cell and cells in
+    path order.  Which cell a position belongs to depends on n alone: the
+    depth-h cell of position i is the top h digits of the cached full-depth
+    code ``_position_codes(n)[i]``.  A level moves the ranks to its axis and
+    sorts one integer key per point, ``(cell path << bits) | rank`` with
+    ``bits = (n-1).bit_length()`` (uint32 while ``2 * bits <= 32``, else
+    int64); the first ``ceil(size/2)`` points of each sorted cell form its
+    left child.  Level 0 (one cell) is already in rank order, and from level
+    ``full_depth(n)`` on every cell is a singleton, so the sort is skipped.
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
-    Returns ``(order, codes)``.  ``order`` (int64) lists the points leaf by
-    leaf in address order, and within a leaf by stable rank along the last
-    split axis ``(depth - 1) % d``, so ``codes[order]`` is nondecreasing; once
-    every leaf is a singleton (``depth >= full_depth(n)``) it is the
-    tree-curve order.
+    Returns ``(order, codes)``, both freshly allocated.  ``order`` (int64)
+    lists the points leaf by leaf in address order, and within a leaf by
+    stable rank along the last split axis ``(depth - 1) % d``, so
+    ``codes[order]`` is nondecreasing; once every leaf is a singleton
+    (``depth >= full_depth(n)``) it is the tree-curve order.
     ``codes`` (uint64) holds each point's packed address, digit s_1 in the
-    most significant of the ``depth`` used bits.
+    most significant of the ``depth`` used bits: the position code shifted to
+    ``depth`` digits.
     """
     X = _as_cloud(X)
     if depth < 1:
@@ -110,8 +145,9 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     coords = X.coords
     bits = _rank_bits(n)
     mask = (1 << bits) - 1
-    # Keys below 2**32 sort about twice as fast as int64 keys.
-    key_dtype = np.uint32 if 2 * bits <= 32 else np.int64
+    full = full_depth(n)
+    pos_code = _position_codes(n)
+    key_dtype = pos_code.dtype
     # by_rank[a][r] is the point of stable rank r along axis a.
     by_rank = [_stable_order(coords[:, a], bits) for a in range(min(depth, d))]
     # moves[a][r] is the rank along axis (a + 1) % d of the point of rank r along axis a.
@@ -128,24 +164,24 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     # Per point, grouped by cell with cells in path order: its rank along the
     # current axis.  Level 0 has one cell, already in rank order.
     ranks = np.arange(n, dtype=key_dtype)
-    sizes = np.full(1, n, dtype=np.int64)  # per cell: its point count
-    path = np.zeros(1, dtype=np.int64)  # per cell: its path code
-
-    for h in range(depth):
-        if h > 0:
-            ranks = np.take(moves[(h - 1) % d], ranks)
-            if path.size < n:
-                # Unique keys sort by (cell, coordinate, input index) in one integer sort.
-                key = np.repeat(np.arange(path.size, dtype=key_dtype), sizes) << bits
-                key |= ranks
-                key.sort()
-                key &= mask
-                ranks = key
-        sizes, path = _children(sizes, path)
+    for h in range(1, depth):
+        ranks = np.take(moves[(h - 1) % d], ranks)
+        if h < full:
+            # Unique keys sort by (cell, coordinate, input index) in one integer sort.
+            key = pos_code >> (full - h)
+            key <<= bits
+            key |= ranks
+            key.sort()
+            key &= mask
+            ranks = key
 
     order = last[ranks]
     codes = np.empty(n, dtype=np.uint64)
-    codes[order] = path if path.size == n else np.repeat(path, sizes)
+    codes[order] = pos_code
+    if depth < full:
+        codes >>= np.uint64(full - depth)
+    else:
+        codes <<= np.uint64(depth - full)
     return order, codes
 
 

@@ -359,10 +359,44 @@ class TestHungarian:
         assert plan.squared_cost_sum == 0.0
 
     def test_mean_overflow_keeps_min_reductions(self):
+        # Rows 0 and 1 share their first minimum column, so the solver runs.
         big = np.finfo(np.float64).max / 2
-        plan = hungarian(np.array([[0.0, big, big], [big, big, 0.0], [big, 0.0, big]]))
-        np.testing.assert_array_equal(plan.pi, [0, 2, 1])
+        plan = hungarian(np.array([[0.0, big, big], [0.0, 0.0, big], [big, big, 0.0]]))
+        np.testing.assert_array_equal(plan.pi, [0, 1, 2])
         assert plan.squared_cost_sum == 0.0
+
+    def test_distinct_row_minima_skip_the_solver(self, monkeypatch):
+        def refuse(cost):
+            raise AssertionError("linear_sum_assignment called on a plain assignment")
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", refuse)
+        X, Y = generators.gen(generators.GeneratorSpec("perturbed-copy", n=300, d=2, seed=5))
+        plan = hungarian(squared_distance_matrix(X, Y))
+        assert plan.pi.dtype == np.int64
+        np.testing.assert_array_equal(plan.pi, np.arange(300))
+        assert plan.squared_cost_sum == 0.0
+        assert exact_w2(X, Y) == 0.0
+
+    def test_colliding_row_minima_match_brute_force(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        rng = np.random.default_rng(16)
+        for n in range(2, 8):
+            for _ in range(10):
+                cost = rng.random((n, n))
+                # Every row's minimum falls in column 0, yet only one row can use it.
+                cost[:, 0] = 0.01 * rng.random(n)
+                plan = hungarian(cost)
+                assert sorted(plan.pi) == list(range(n))
+                assert plan.squared_cost_sum == pytest.approx(
+                    brute_force_assignment_cost(cost), abs=1e-12
+                )
+        assert len(calls) == 60
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -383,14 +417,14 @@ class TestHungarian:
         # Powers of two scale every step exactly, so a temperature fixed in
         # absolute units, not relative to the costs, shows as a mismatch.
         cost = _cost_matrix(kind, 40, 3)
-        base = _reduced_costs(cost, np.empty(cost.shape))
+        base = _reduced_costs(cost, cost.min(axis=1), np.empty(cost.shape))
         for k in (-20, 20):
-            scaled = _reduced_costs(2.0**k * cost, np.empty(cost.shape))
+            scaled = _reduced_costs(2.0**k * cost, (2.0**k * cost).min(axis=1), np.empty(cost.shape))
             np.testing.assert_array_equal(scaled, 2.0**k * base)
 
     def test_reduction_prices_the_optimum_near_zero(self):
         cost = _cost_matrix("gaussian-pair", 200, 5)
-        reduced = _reduced_costs(cost, np.empty(cost.shape))
+        reduced = _reduced_costs(cost, cost.min(axis=1), np.empty(cost.shape))
         rows, cols = linear_sum_assignment(cost)
         spread = cost.max() - cost.min()
         assert np.isfinite(reduced).all()

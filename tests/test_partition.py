@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
+from rrmatch.matching import rrm_plan
 from rrmatch.partition import (
+    _position_codes,
     _rank_bits,
     _stable_order,
     build_tree,
@@ -227,6 +231,88 @@ class TestBuildTree:
         assert _rank_bits(2**31) == 31
         with pytest.raises(ValueError, match=r"n=2147483649 .*n <= 2\*\*31"):
             _rank_bits(2**31 + 1)
+
+
+def _position_codes_reference(n):
+    """Leaf code of each sorted position, descending one position at a time.
+
+    A position at offset p in a cell of size s goes left (digit 0) when
+    p < ceil(s/2), into a cell of size ceil(s/2); otherwise right, at offset
+    p - ceil(s/2) in a cell of size floor(s/2).
+    """
+    offset = np.arange(n, dtype=np.int64)
+    size = np.full(n, n, dtype=np.int64)
+    code = np.zeros(n, dtype=np.int64)
+    for _ in range(full_depth(n)):
+        left = (size + 1) // 2
+        right = offset >= left
+        code = 2 * code + right
+        offset = np.where(right, offset - left, offset)
+        size = np.where(right, size // 2, left)
+    return code
+
+
+class TestPositionCodes:
+    def test_matches_per_position_descent(self):
+        for n in range(1, 4097):
+            table = _position_codes(n)
+            assert table.dtype == (np.uint32 if 2 * _rank_bits(n) <= 32 else np.int64)
+            np.testing.assert_array_equal(table, _position_codes_reference(n))
+        for n in (2**16, 2**16 + 1):
+            np.testing.assert_array_equal(_position_codes(n), _position_codes_reference(n))
+
+    def test_read_only_and_bounded(self):
+        table = _position_codes(10)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        info = _position_codes.cache_info()
+        assert info.maxsize == 4
+        assert info.currsize <= 4
+
+    def test_build_returns_fresh_arrays(self):
+        coords = np.random.default_rng(17).random((300, 2))
+        for depth in (3, full_depth(300), full_depth(300) + 2):
+            order, codes = build_tree(coords, depth)
+            want = order.tobytes(), codes.tobytes()
+            for out in (order, codes):
+                assert out.flags.writeable
+                assert not np.shares_memory(out, _position_codes(300))
+                out[:] = 7
+            again = build_tree(coords, depth)
+            assert (again[0].tobytes(), again[1].tobytes()) == want
+
+
+class TestThreadSafety:
+    @staticmethod
+    def _run_in_pool(fn, args):
+        # A short switch interval interleaves the threads often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _position_codes.cache_clear()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(fn, *a) for a in args]
+                return [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("sizes", [[2000] * 12, [2000, 6001, 1023, 6001, 2000, 1025] * 2])
+    def test_pool_orders_match_serial(self, sizes):
+        rng = np.random.default_rng(len(set(sizes)))
+        clouds = [rng.random((n, 2)) for n in sizes]
+        serial = [tree_curve_order(c).tobytes() for c in clouds]
+        threaded = self._run_in_pool(tree_curve_order, [(c,) for c in clouds])
+        assert [o.tobytes() for o in threaded] == serial
+
+    def test_pool_plans_match_serial_at_helper_thread_size(self):
+        # From 2**15 points on, rrm_plan orders Y on its own helper thread.
+        rng = np.random.default_rng(18)
+        pairs = [(PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2))))
+                 for n in (2**15, 3000, 2**15)]
+        serial = [rrm_plan(X, Y).pi.tobytes() for X, Y in pairs]
+        threaded = self._run_in_pool(rrm_plan, pairs)
+        assert [p.pi.tobytes() for p in threaded] == serial
 
 
 class TestStableOrder:
