@@ -38,7 +38,7 @@ from rrmatch.diagnostics import (
     threshold_consistency_experiment,
 )
 from rrmatch.generators import FAMILIES, GeneratorSpec, gen
-from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_plan, squared_distance_matrix
+from rrmatch.matching import exact_plan, exact_w2, merged_rrm, rrm_plan
 from rrmatch.partition import MAX_DEPTH
 from rrmatch.srrm import SrrmConfig, srrm_match
 
@@ -132,7 +132,7 @@ def _plan_for_method(
         cap = _exact_cap(args)
         if X.n > cap:
             raise CapExceededError(f"exact method capped at {cap} points, got {X.n}")
-        return hungarian(squared_distance_matrix(X, Y)), {"cap": cap}
+        return exact_plan(X, Y), {"cap": cap}
     raise ValueError(f"unknown method {method!r}")
 
 

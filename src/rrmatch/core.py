@@ -178,6 +178,11 @@ def _pair_costs(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _centred(coords: np.ndarray) -> np.ndarray:
+    """The points moved so that their mean sits at the origin."""
+    return coords - coords.mean(axis=0)
+
+
 def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
     """Recompute the squared-cost sum of a (partial) assignment from scratch."""
     X, Y = _as_cloud(X), _as_cloud(Y)

@@ -29,6 +29,7 @@ from rrmatch.core import (
     RngSeed,
     SizeMismatchError,
     _as_cloud,
+    _centred,
     _check_pair,
     _pair_costs,
     derive_rng,
@@ -92,14 +93,6 @@ def calibrated_depth(dist: float | np.ndarray, params: LastMileParams) -> int | 
     return out if out.ndim else int(out)
 
 
-def _centered(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    # Translation does not affect quadratic transport geometry; aligning the
-    # barycenters isolates the shape mismatch the diagnostic is after.
-    x = X.coords - X.coords.mean(axis=0)
-    y = Y.coords - Y.coords.mean(axis=0)
-    return x, y
-
-
 def _premature_core(
     x: np.ndarray, y: np.ndarray, params: LastMileParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +115,7 @@ def premature_set(
     fraction of |X|.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
-    x, y = _centered(X, Y)
-    _, bad = _premature_core(x, y, params)
+    _, bad = _premature_core(_centred(X.coords), _centred(Y.coords), params)
     return bad, bad.size / X.n
 
 
@@ -158,7 +150,9 @@ def plateau_decomposition(
     if plan.n != X.n:
         raise SizeMismatchError("plan size does not match cloud size")
 
-    x, y = _centered(X, Y)
+    # Translation does not affect quadratic transport geometry; aligning the
+    # barycenters isolates the shape mismatch the diagnostic is after.
+    x, y = _centred(X.coords), _centred(Y.coords)
     delta_sq, bad = _premature_core(x, y, params)
 
     cost = _pair_costs(x, y, plan.pi)

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from rrmatch import matching
 from rrmatch.cli import build_parser, main
 from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_point_cloud
-from rrmatch.matching import hungarian, squared_distance_matrix
+from rrmatch.matching import exact_w2, hungarian, squared_distance_matrix
 
 
 def run(*argv):
@@ -72,6 +72,16 @@ class TestDistance:
         assert values["exact"] <= values["srrm"] + 1e-9
         assert values["srrm"] <= values["merged"] + 1e-9
         assert values["merged"] <= values["rrm"] + 1e-9
+
+    def test_exact_record_is_exact_w2(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        X = PointCloud(rng.random((40, 2)))
+        Y = PointCloud(rng.random((40, 2)) + 250.0)  # far apart: centring changes the matrix
+        x, y = tmp_path / "x.pcf", tmp_path / "y.pcf"
+        save_point_cloud(X, x)
+        save_point_cloud(Y, y)
+        assert run("distance", x, y, "--method", "exact", "--normalize", "none") == 0
+        assert json.loads(capsys.readouterr().out)["value"] == exact_w2(X, Y)
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run("distance", tmp_path / "nope.pcf", tmp_path / "nah.pcf")

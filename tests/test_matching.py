@@ -25,6 +25,7 @@ from rrmatch.matching import (
     RunVariant,
     _cycle_labels,
     _reduced_costs,
+    exact_plan,
     exact_w2,
     hungarian,
     merge_pair,
@@ -343,6 +344,13 @@ class TestHungarian:
         with pytest.raises(ValueError, match="finite"):
             hungarian(cost)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_entry_is_reported_before_a_negative_one(self, bad):
+        cost = np.array([[-1.0, 1.0], [1.0, 1.0]])
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hungarian(cost)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             hungarian(np.ones((2, 3)))
@@ -450,6 +458,46 @@ def _cost_matrix(kind, n, seed):
     if Y is None:
         Y, _ = generators.gen(dataclasses.replace(spec, seed=seed + 1))
     return squared_distance_matrix(X, Y)
+
+
+class TestExactPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        d=st.integers(1, 3),
+        duplicated=st.booleans(),
+        scale=st.sampled_from((1e-6, 1.0, 1e6)),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_total_matches_the_uncentred_solve(self, n, d, duplicated, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.random((n, d)), rng.random((n, d))
+        if duplicated:  # few distinct points: many tied optima
+            x, y = x[rng.integers(0, 3, n) % n], y[rng.integers(0, 3, n) % n]
+        X, Y = PointCloud(scale * x), PointCloud(scale * y + shift * rng.random(d))
+        cost = squared_distance_matrix(X, Y)
+        rows, cols = linear_sum_assignment(cost)
+        want = cost[rows, cols].sum()
+        plan = exact_plan(X, Y)
+        assert plan.is_complete
+        assert abs(plan.squared_cost_sum - want) <= 1e-12 * want
+        assert plan.squared_cost_sum == pytest.approx(plan_squared_cost(X, Y, plan.pi), rel=1e-12)
+        assert exact_w2(X, Y) == plan.rms
+
+    def test_solver_sees_centred_clouds(self, monkeypatch):
+        seen = []
+
+        def recording(cost):
+            seen.append(cost.copy())
+            return hungarian(cost)
+
+        monkeypatch.setattr(matching, "hungarian", recording)
+        rng = np.random.default_rng(20)
+        x, y = rng.random((16, 2)), rng.random((16, 2))
+        exact_plan(PointCloud(x), PointCloud(y + 100.0))
+        centred = squared_distance_matrix(x - x.mean(axis=0), y - y.mean(axis=0))
+        np.testing.assert_allclose(seen[0], centred, rtol=1e-9, atol=1e-12)
 
 
 class TestExactW2:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from rrmatch.core import (
     CapExceededError,
@@ -13,6 +14,7 @@ from rrmatch.core import (
     UNASSIGNED,
     derive_rng,
     derive_seed,
+    plan_squared_cost,
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_distance, squared_distance_matrix
@@ -134,6 +136,32 @@ class TestFinalize:
         )
         assert completed.squared_cost_sum - committed == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(completed.pi[:4], pi[:4])
+
+    @pytest.mark.parametrize("n, residual", [(9, 1), (9, 4), (12, 7), (80, 60)])
+    def test_far_translated_residual_keeps_the_uncentred_optimum(self, n, residual):
+        rng = np.random.default_rng(residual)
+        X = PointCloud(rng.random((n, 2)))
+        Y = PointCloud(rng.random((n, 2)) + np.array([1e3, -4e2]))
+        pi = np.full(n, UNASSIGNED)
+        rows = np.sort(rng.choice(n, residual, replace=False))
+        committed = np.setdiff1d(np.arange(n), rows)
+        cols = np.sort(rng.choice(n, residual, replace=False))
+        pi[committed] = rng.permutation(np.setdiff1d(np.arange(n), cols))
+        partial = Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
+        completed = finalize_hungarian(X, Y, partial)
+        np.testing.assert_array_equal(completed.pi[committed], pi[committed])
+        assert completed.squared_cost_sum == plan_squared_cost(X, Y, completed.pi)
+        sub = squared_distance_matrix(X.coords[rows], Y.coords[cols])
+        r, c = linear_sum_assignment(sub)
+        uncentred = pi.copy()
+        uncentred[rows[r]] = cols[c]
+        want = plan_squared_cost(X, Y, uncentred)
+        assert abs(completed.squared_cost_sum - want) <= 1e-12 * want
+        if residual <= 7:
+            best = min(sub[np.arange(residual), list(perm)].sum()
+                       for perm in itertools.permutations(range(residual)))
+            assert completed.squared_cost_sum == pytest.approx(partial.squared_cost_sum + best,
+                                                               rel=1e-12)
 
     @pytest.mark.parametrize("size", [5, 7])
     def test_plan_size_must_match_clouds(self, size):
