@@ -36,7 +36,6 @@ from rrmatch.diagnostics import (
 )
 from rrmatch.matching import (
     RunVariant,
-    exact_plan,
     exact_w2,
     hungarian,
     merge_pair,
@@ -83,7 +82,6 @@ __all__ = [
     "convergence_experiment",
     "derive_rng",
     "derive_seed",
-    "exact_plan",
     "exact_w2",
     "finalize_hungarian",
     "hungarian",

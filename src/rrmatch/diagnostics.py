@@ -17,6 +17,7 @@ randomness left in the experiments is the sampling itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,16 +94,34 @@ def calibrated_depth(dist: float | np.ndarray, params: LastMileParams) -> int | 
     return out if out.ndim else int(out)
 
 
-def _premature_core(
-    x: np.ndarray, y: np.ndarray, params: LastMileParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared machinery: NN squared distances and bad indices."""
+@functools.lru_cache(maxsize=1)
+def _centred_nn(
+    X: PointCloud, Y: PointCloud
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both clouds centred on their own means, and each x's nearest y among them.
+
+    Returns read-only (x, y, NN squared distances, NN indices).  None of it
+    depends on a plan, and the CLI's ``plateau`` command, like any
+    validation, decomposes several plans of one pair in a row, so the last
+    pair's result is kept.  Clouds compare by their coordinates.
+    """
+    x, y = _centred(X.coords), _centred(Y.coords)
     delta_sq, jnn = _nn_partners(x, y)
+    for a in (x, y, delta_sq, jnn):
+        a.flags.writeable = False
+    return x, y, delta_sq, jnn
+
+
+def _premature_core(
+    X: PointCloud, Y: PointCloud, params: LastMileParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared machinery: centred coordinates, NN squared distances and bad indices."""
+    x, y, delta_sq, jnn = _centred_nn(X, Y)
     _, codes = build_tree(np.vstack([x, y]), params.depth)
     share = common_prefix_depth(codes[: x.shape[0]], codes[x.shape[0] :][jnn], params.depth)
     ell = calibrated_depth(np.sqrt(delta_sq), params)
     bad = np.flatnonzero(share < ell).astype(np.int64)
-    return delta_sq, bad
+    return x, y, delta_sq, bad
 
 
 def premature_set(
@@ -115,7 +134,7 @@ def premature_set(
     fraction of |X|.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
-    _, bad = _premature_core(_centred(X.coords), _centred(Y.coords), params)
+    *_, bad = _premature_core(X, Y, params)
     return bad, bad.size / X.n
 
 
@@ -152,8 +171,7 @@ def plateau_decomposition(
 
     # Translation does not affect quadratic transport geometry; aligning the
     # barycenters isolates the shape mismatch the diagnostic is after.
-    x, y = _centred(X.coords), _centred(Y.coords)
-    delta_sq, bad = _premature_core(x, y, params)
+    x, y, delta_sq, bad = _premature_core(X, Y, params)
 
     cost = _pair_costs(x, y, plan.pi)
     gamma = np.maximum(cost - delta_sq, 0.0)

@@ -26,7 +26,6 @@ from rrmatch.core import (
     PointCloud,
     RngSeed,
     SizeMismatchError,
-    _as_cloud,
     _centred,
     _check_pair,
     _pair_costs,
@@ -253,24 +252,18 @@ def hungarian(cost: np.ndarray) -> Plan:
     about 30 ms at n=1024, which is most of the time on instances that were
     already easy.  Entries must be >= 0, so the total is never negative.
     Only the optimal total cost is contracted, not which optimum is
-    returned among ties.  Callers with squared-distance costs centre each
-    cloud on its own mean first (:func:`exact_plan`,
-    ``srrm.finalize_hungarian``): a translation adds only row and column
-    terms, which move every assignment's total alike, and the warm start
-    was faster on the centred matrix.  When the row minima sit in pairwise
-    distinct columns they already form an assignment, and its total, the
-    sum of the row minima, bounds every assignment's from below, so it is
-    returned without the warm start or the solve: ``exact_w2`` on identical
-    clouds at n=1024 takes about 5 ms instead of 55 ms, most of it the
-    distances.
+    returned among ties.  When the row minima sit in pairwise distinct
+    columns they already form an assignment, and its total, the sum of the
+    row minima, bounds every assignment's from below, so it is returned
+    without the warm start or the solve: ``exact_w2`` on identical clouds
+    at n=1024 takes about 5 ms instead of 55 ms, most of it the distances.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if cost.shape[0] < 1:
         raise ValueError("cost matrix must be at least 1x1")
-    # Two reductions instead of n×n masks: a NaN or ±inf makes one of them
-    # non-finite, and a mask locates the first negative entry only on error.
+    # A NaN or ±inf makes min or max non-finite; the mask is built only on error.
     lo, hi = float(cost.min()), float(cost.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("cost matrix contains non-finite entries")
@@ -288,37 +281,50 @@ def hungarian(cost: np.ndarray) -> Plan:
     return Plan(pi=pi, squared_cost_sum=float(row_min.sum()))
 
 
-def squared_distance_matrix(X: PointCloud, Y: PointCloud) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at zero in place."""
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    d2 = cdist(X.coords, Y.coords, "sqeuclidean")
+def squared_distance_matrix(X: PointCloud | np.ndarray, Y: PointCloud | np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clamped at zero in place.
+
+    Coordinate arrays are used as given, without a cloud's copy and
+    finiteness check: the solvers here pass arrays cut or centred from
+    validated clouds.
+    """
+    x = X.coords if isinstance(X, PointCloud) else X
+    y = Y.coords if isinstance(Y, PointCloud) else Y
+    d2 = cdist(x, y, "sqeuclidean")
     return np.maximum(d2, 0.0, out=d2)
 
 
-def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
-    """An optimal complete assignment of X to Y, solved on mean-centred clouds.
+def _exact_solve(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, float]:
+    """An optimal assignment of two checked clouds and its total cost.
 
-    With ``δ = mean(X) - mean(Y)``, the cost between the centred points is
+    The assignment is solved on the clouds centred on their own means.  With
+    ``δ = mean(X) - mean(Y)``, the cost between the centred points is
     ``|x_i - y_j|² - 2⟨x_i, δ⟩ + 2⟨y_j, δ⟩ + |δ|²``: a row term, a column term
     and a constant, so every complete assignment shifts by the same amount
-    and the optimal assignments are those of the original clouds.  The
-    centred matrix is what :func:`hungarian` solves: at n=1024, exact_w2 on
-    gaussian-pair t=0.5 and opening-angle pairs took 80-100 ms instead of
-    120-170 ms, and about as long as before on the other families (the
-    translation part may inflate the warm start's temperature).  The total
-    is summed in row order from the original coordinates.  Which optimum
-    comes back among ties is not contracted.
+    and the optimal assignments are those of the original clouds.  At
+    n=1024, exact_w2 took 80-100 ms instead of 120-170 ms on gaussian-pair
+    t=0.5 and opening-angle pairs, about 10% longer on gaussian-pair t=1
+    (82-84 ms instead of 74-76 ms), and about as long on the other families.
+    Why the centred matrix solves faster was measured, not derived.  The
+    total is summed in row order from the original coordinates.  Which
+    optimum comes back among ties is not contracted.
     """
-    X, Y = _check_pair(X, Y)
     pi = hungarian(squared_distance_matrix(_centred(X.coords), _centred(Y.coords))).pi
-    return Plan(pi=pi, squared_cost_sum=float(_pair_costs(X.coords, Y.coords, pi).sum()))
+    return pi, float(_pair_costs(X.coords, Y.coords, pi).sum())
+
+
+def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
+    """An optimal complete assignment of X to Y (see :func:`_exact_solve`)."""
+    X, Y = _check_pair(X, Y)
+    pi, total = _exact_solve(X, Y)
+    return Plan(pi=pi, squared_cost_sum=total)
 
 
 def exact_w2(X: PointCloud, Y: PointCloud, cap: int = 1024) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds.
 
-    Solves the full assignment problem on squared distances with
-    :func:`exact_plan`, on the mean-centred clouds, which leaves the optimal
+    Solves the full assignment problem on squared distances of the
+    mean-centred clouds (:func:`_exact_solve`), which leaves the optimal
     total unchanged; refuses to run above ``cap`` points, where the surrogate
     methods are the intended tool.  Peak memory is two n×n float64 arrays
     (the distances and the solver's work buffer, 16 MiB at n=1024).
@@ -328,4 +334,5 @@ def exact_w2(X: PointCloud, Y: PointCloud, cap: int = 1024) -> float:
         raise CapExceededError(
             f"exact_w2 capped at {cap} points, got {X.n}; use rrm/merged/srrm surrogates"
         )
-    return exact_plan(X, Y).rms
+    _, total = _exact_solve(X, Y)
+    return math.sqrt(total / X.n)

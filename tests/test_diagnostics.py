@@ -117,6 +117,22 @@ class TestPlateauDecomposition:
             gammas[mag] = report.gamma_bar
         assert gammas[0.01] < gammas[100.0]
 
+    def test_reports_do_not_depend_on_the_pair_decomposed_before(self):
+        rng = np.random.default_rng(6)
+        X = PointCloud(rng.random((48, 2)))
+        pairs = [(X, PointCloud(rng.random((48, 2)) + shift)) for shift in (0.0, 3.0)]
+        plans = [Plan(pi=pi, squared_cost_sum=0.0) for pi in (np.arange(48), rng.permutation(48))]
+        params = LastMileParams(depth=5, d=2)
+        forward = [[plateau_decomposition(X, Y, plan, params) for plan in plans] for X, Y in pairs]
+        backward = [[plateau_decomposition(X, Y, plan, params) for plan in plans] for X, Y in pairs[::-1]]
+        assert forward == backward[::-1]
+        for (X, Y), reports in zip(pairs, forward):
+            x, y = X.coords - X.coords.mean(axis=0), Y.coords - Y.coords.mean(axis=0)
+            nn_sq = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+            assert [r.nn_term for r in reports] == [pytest.approx(nn_sq.mean(), rel=1e-12)] * 2
+        copy = plateau_decomposition(PointCloud(X.coords), PointCloud(Y.coords), plans[1], params)
+        assert copy == forward[1][1]
+
     def test_rejects_incomplete_plan(self):
         X = PointCloud(np.random.default_rng(5).random((4, 2)))
         partial = Plan(pi=np.array([0, 1, -1, -1]), squared_cost_sum=0.0)
