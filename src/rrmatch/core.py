@@ -38,6 +38,12 @@ class CapExceededError(RuntimeError):
     """Raised when an exact-assignment subproblem exceeds its configured cap."""
 
 
+def _check_seed(seed: RngSeed) -> None:
+    """Raise a ValueError that names a negative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def derive_rng(seed: RngSeed, *path: int) -> np.random.Generator:
     """Return a generator for the given seed and derivation path.
 
@@ -46,11 +52,13 @@ def derive_rng(seed: RngSeed, *path: int) -> np.random.Generator:
     and the mapping is order-independent: deriving ``(seed, 2, 1)`` never
     depends on whether ``(seed, 1, 1)`` was derived first.
     """
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
 def derive_seed(seed: RngSeed, *path: int) -> int:
     """Collapse a derivation path into a fresh 64-bit seed."""
+    _check_seed(seed)
     ss = np.random.SeedSequence(seed, spawn_key=path)
     return int(ss.generate_state(1, np.uint64)[0])
 

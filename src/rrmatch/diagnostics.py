@@ -116,6 +116,8 @@ def _premature_core(
     X: PointCloud, Y: PointCloud, params: LastMileParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shared machinery: centred coordinates, NN squared distances and bad indices."""
+    if params.d != X.d:
+        raise SizeMismatchError(f"LastMileParams.d is {params.d} but the clouds have dimension {X.d}")
     x, y, delta_sq, jnn = _centred_nn(X, Y)
     _, codes = build_tree(np.vstack([x, y]), params.depth)
     share = common_prefix_depth(codes[: x.shape[0]], codes[x.shape[0] :][jnn], params.depth)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from rrmatch.core import (
@@ -137,21 +139,15 @@ def rrm_distance(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None
 def _cycle_labels(tau: np.ndarray) -> np.ndarray:
     """Label each index with the id of its cycle in the permutation tau.
 
-    Cycles are numbered 0, 1, ... in order of their smallest index.  Pointer
-    doubling: after k rounds ``low[i]`` is the smallest index among the first
-    2^k elements of i's orbit, so it settles on the cycle minimum in about
-    log2(longest cycle) rounds.
+    The cycles are the strong components of the graph i -> tau[i].  SciPy's
+    traversal (Pearce 2005) starts from the unvisited indices in increasing
+    order and closes one whole cycle per start, so cycles are numbered 0, 1,
+    ... in order of their smallest index.
     """
-    low = np.arange(tau.size, dtype=np.int64)
-    step = np.asarray(tau, dtype=np.int64)
-    while True:
-        nxt = np.minimum(low, low[step])
-        if np.array_equal(nxt, low):
-            break
-        low = nxt
-        step = step[step]
-    is_min = low == np.arange(tau.size)
-    return (np.cumsum(is_min) - 1)[low]
+    n = tau.size
+    # int32 like SciPy's own labels; orderings cap n at 2**31 (partition._rank_bits).
+    graph = csr_matrix((np.ones(n), tau.astype(np.int32), np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+    return connected_components(graph, connection="strong")[1].astype(np.int64)
 
 
 def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:

@@ -25,6 +25,7 @@ from rrmatch.core import (
     _as_cloud,
     _centred,
     _check_pair,
+    _check_seed,
     derive_rng,
     derive_seed,
     plan_squared_cost,
@@ -67,6 +68,7 @@ class SrrmConfig:
             raise ValueError("merge_runs must be >= 1")
         if self.hungarian_cap < 0:
             raise ValueError("hungarian_cap must be >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

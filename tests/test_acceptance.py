@@ -249,7 +249,10 @@ def test_runtime_trends():
         result = srrm_match(X, Y, cfg)
         return time.perf_counter() - t0, result.history[0]
 
-    runs = {t: [srrm_run(t, seed) for seed in range(10)] for t in (0.0, 1.0)}
+    runs: dict[float, list[tuple[float, int]]] = {0.0: [], 1.0: []}
+    for seed in range(10):  # interleave t=0 and t=1 so load drift hits both alike
+        for t in runs:
+            runs[t].append(srrm_run(t, seed))
     wall_far = float(np.median([w for w, _ in runs[0.0]]))
     wall_near = float(np.median([w for w, _ in runs[1.0]]))
     round0_near = float(np.median([h for _, h in runs[1.0]]))

@@ -233,3 +233,8 @@ class TestRng:
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+
+    @pytest.mark.parametrize("derive", [derive_rng, derive_seed])
+    def test_negative_seed_is_named(self, derive):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            derive(-1, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rrmatch.core import Plan, PointCloud, derive_rng
+from rrmatch.core import Plan, PointCloud, SizeMismatchError, derive_rng
 from rrmatch.diagnostics import (
     LastMileParams,
     UniformPopulation,
@@ -81,6 +81,17 @@ class TestPrematureSet:
         depth = max(1, math.ceil(math.log2(4096)) - 3)
         _, alpha = premature_set(X, Y, LastMileParams(depth=depth, d=2))
         assert alpha > 0.5
+
+    def test_params_dimension_must_match_the_clouds(self):
+        rng = np.random.default_rng(5)
+        X, Y = PointCloud(rng.random((40, 3))), PointCloud(rng.random((40, 3)))
+        plan = Plan(pi=np.arange(40), squared_cost_sum=0.0)
+        params = LastMileParams(depth=5, d=1)
+        message = "LastMileParams.d is 1 but the clouds have dimension 3"
+        with pytest.raises(SizeMismatchError, match=message):
+            premature_set(X, Y, params)
+        with pytest.raises(SizeMismatchError, match=message):
+            plateau_decomposition(X, Y, plan, params)
 
 
 class TestPlateauDecomposition:

@@ -224,12 +224,17 @@ class TestCycleLabels:
 
     def test_random_permutations_match_reference(self):
         rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 10, 100, 1000):
-            for _ in range(20):
-                tau = rng.permutation(n)
-                labels = _cycle_labels(tau)
-                assert labels.dtype == np.int64
-                assert labels.tolist() == cycle_labels_reference(tau)
+        taus = [rng.permutation(n) for n in (1, 2, 3, 10, 100, 1000) for _ in range(20)]
+        taus.append(rng.permutation(2**16))
+        # Near identity: thousands of one-index cycles to number, and a few swaps.
+        near_identity = np.arange(5000)
+        swaps = rng.choice(5000, size=(40, 2), replace=False)
+        near_identity[swaps[:, 0]], near_identity[swaps[:, 1]] = swaps[:, 1], swaps[:, 0]
+        taus.append(near_identity)
+        for tau in taus:
+            labels = _cycle_labels(tau)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == cycle_labels_reference(tau)
 
 
 class TestMergePair:

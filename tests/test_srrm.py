@@ -183,6 +183,14 @@ class TestFinalize:
 
 
 class TestSrrmMatch:
+    def test_negative_seed_is_named(self):
+        rng = np.random.default_rng(9)
+        X, Y = PointCloud(rng.random((20, 2))), PointCloud(rng.random((20, 2)))
+        for call in (lambda: SrrmConfig(seed=-1), lambda: merged_rrm(X, Y, 3, seed=-1),
+                     lambda: sample_near(X, 2, seed=-1)):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                call()
+
     def test_self_match_is_zero(self):
         rng = np.random.default_rng(10)
         X = PointCloud(rng.random((50, 2)))
