@@ -7,10 +7,17 @@ plan) but never the cost function -- costs are always evaluated in the
 original coordinates.  On large clouds a plan's two orderings run on two
 threads when the process may use more than one CPU; plans are the same either
 way.
+
+Run variants are cached per ``(d, seed, index)``, up to 256 of them, so
+repeated ``merged_rrm`` calls with a seed already used in the process (as
+SRRM's screening rounds make for every pair) reuse their rotations.  A cold
+first call with a new seed builds every variant and gains nothing from the
+cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -57,25 +64,42 @@ _WARM_EPS = 0.02
 class RunVariant:
     """One randomized run: an orthogonal rotation shared by both clouds.
 
-    The identity variant reproduces the canonical plan.
+    The identity variant reproduces the canonical plan.  ``rotation`` is
+    stored as a read-only float64 copy of the array passed in, so a variant
+    stays what was checked; a non-finite or non-orthogonal rotation is
+    rejected.
+
+    :meth:`identity` and :meth:`random` are pure functions of their
+    arguments, so each keeps its last 256 variants (``functools.lru_cache``)
+    and callers share them.  Screening derives the same few seeds for every
+    pair it runs on, and each ``merged_rrm`` call with a seed already seen
+    in the process skips the draws, the QR and the orthogonality check; the
+    first call with a new seed builds its variants as before.
     """
 
     rotation: np.ndarray
 
     def __post_init__(self) -> None:
-        rot = np.asarray(self.rotation, dtype=np.float64)
+        rot = np.array(self.rotation, dtype=np.float64, order="C")
         if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
             raise ValueError(f"rotation must be square, got shape {rot.shape}")
+        bad = ~np.isfinite(rot)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"rotation has a non-finite entry {rot[i, j]} at ({i}, {j})")
         gram_err = np.abs(rot.T @ rot - np.eye(rot.shape[0])).max()
         if gram_err > _ORTHOGONALITY_TOL:
             raise ValueError(f"rotation is not orthogonal (|Q^T Q - I| = {gram_err:.3e})")
+        rot.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def identity(cls, d: int) -> "RunVariant":
         return cls(rotation=np.eye(d))
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def random(cls, d: int, seed: RngSeed, index: int) -> "RunVariant":
         """Haar-random rotation for run ``index``, its rows rolled by a random start.
 

@@ -13,7 +13,9 @@ paths of the cells at every level, and which sorted positions each holds)
 depends on the point count n alone, never on the coordinates.  It is built
 once per n as a table of full-depth position codes, in a cache of at most 4
 read-only tables of ``n * 4`` bytes (``n * 8`` above n = 2**16); the depth-h
-cell of sorted position i is the top h digits of its entry.
+cell of sorted position i is the top h digits of its entry.  The table is
+assembled from per-size tables, at most two per depth, so a cache miss costs
+O(n) work in O(log n) array operations.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
     are decided by ``==``, so ``-0.0`` and ``0.0`` share a group, as they do
     under a stable sort.
     """
-    order = np.argsort(c)
+    order = c.argsort()
     sorted_c = c[order]
     tied = sorted_c[1:] == sorted_c[:-1]
     if not tied.any():
@@ -57,27 +59,6 @@ def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
     group = np.zeros(c.size, dtype=np.int64)
     np.cumsum(~tied, out=group[1:])
     return np.sort((group << bits) | order) & ((1 << bits) - 1)
-
-
-def _children(sizes: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and path codes of the nonempty children of cells, in path order.
-
-    The first ceil(size/2) points of a cell form its left child, which every
-    cell keeps; split cells also get a right child.  Children are interleaved
-    (left, right) per cell before the empty ones are dropped; only the level
-    that reaches depth ``full_depth(n)`` can have empty ones.
-    """
-    children = np.empty(2 * sizes.size, dtype=np.int64)
-    np.add(sizes, 1, out=children[0::2])
-    children[0::2] //= 2
-    np.subtract(sizes, children[0::2], out=children[1::2])
-    child_path = np.empty(2 * path.size, dtype=np.int64)
-    np.left_shift(path, 1, out=child_path[0::2])
-    np.add(child_path[0::2], 1, out=child_path[1::2])
-    kept = children > 0
-    if kept.all():
-        return children, child_path
-    return children[kept], child_path[kept]
 
 
 @functools.lru_cache(maxsize=4)
@@ -88,18 +69,30 @@ def _position_codes(n: int) -> np.ndarray:
     left child, so the sizes and paths of the cells at every level depend on
     ``n`` alone.  Entry i is the path code, ``full_depth(n)`` digits wide, of
     the leaf at position i of the tree-curve order; positions nest, so the
-    depth-h cell of position i is its top h digits.  The dtype is that of
-    :func:`build_tree`'s sort key (uint32 while ``2 * bits <= 32``, else
-    int64), so the cache holds at most 4 tables of ``n * 4`` or ``n * 8``
-    bytes.  Callers share the table; it is never written.
+    depth-h cell of position i is its top h digits.
+
+    A cell's table depends only on its size s and depth: the left child's
+    table followed by the right child's with the cell's digit set,
+    ``table(s) = table(ceil(s/2)) ++ (table(floor(s/2)) | digit)``.  At each
+    depth the cells take at most two consecutive sizes, so the tables are
+    built bottom-up, at most two per depth, from the singleton (and empty)
+    leaves.  The dtype is that of :func:`build_tree`'s sort key (uint32 while
+    ``2 * bits <= 32``, else int64), so the cache holds at most 4 tables of
+    ``n * 4`` or ``n * 8`` bytes.  Callers share the table; it is never
+    written.
     """
     bits = _rank_bits(n)
-    sizes = np.full(1, n, dtype=np.int64)
-    path = np.zeros(1, dtype=np.int64)
-    for _ in range(full_depth(n)):
-        sizes, path = _children(sizes, path)
+    full = full_depth(n)
     # Keys below 2**32 sort about twice as fast as int64 keys.
-    table = path.astype(np.uint32 if 2 * bits <= 32 else np.int64)
+    dtype = np.uint32 if 2 * bits <= 32 else np.int64
+    sizes = [{n}]
+    for _ in range(full):
+        sizes.append({c for s in sizes[-1] for c in ((s + 1) // 2, s // 2)})
+    tables = {s: np.zeros(s, dtype=dtype) for s in sizes[full]}
+    for h in range(full - 1, -1, -1):
+        digit = 1 << (full - 1 - h)
+        tables = {s: np.concatenate((tables[(s + 1) // 2], tables[s // 2] | digit)) for s in sizes[h]}
+    table = tables[n]
     table.flags.writeable = False
     return table
 
@@ -118,11 +111,15 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     path order.  Which cell a position belongs to depends on n alone: the
     depth-h cell of position i is the top h digits of the cached full-depth
     code ``_position_codes(n)[i]``.  A level moves the ranks to its axis and
-    sorts one integer key per point, ``(cell path << bits) | rank`` with
-    ``bits = (n-1).bit_length()`` (uint32 while ``2 * bits <= 32``, else
-    int64); the first ``ceil(size/2)`` points of each sorted cell form its
-    left child.  Level 0 (one cell) is already in rank order, and from level
-    ``full_depth(n)`` on every cell is a singleton, so the sort is skipped.
+    sorts one integer key per point: the position codes, shifted once per
+    build by ``bits = (n-1).bit_length()``, masked to their top h digits,
+    with the rank in the low ``bits`` (uint32 while ``2 * bits <= 32``, else
+    int64).  The masked code orders cells as their path does, and ranks are
+    unique within a cell, so the sort groups points by cell in path order
+    and by rank within each; the first ``ceil(size/2)`` points of each sorted
+    cell form its left child.  Level 0 (one cell) is already in rank order,
+    and from level ``full_depth(n)`` on every cell is a singleton, so the
+    sort is skipped.
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
@@ -164,12 +161,12 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     # Per point, grouped by cell with cells in path order: its rank along the
     # current axis.  Level 0 has one cell, already in rank order.
     ranks = np.arange(n, dtype=key_dtype)
+    shifted = pos_code << bits
     for h in range(1, depth):
-        ranks = np.take(moves[(h - 1) % d], ranks)
+        ranks = moves[(h - 1) % d].take(ranks)
         if h < full:
             # Unique keys sort by (cell, coordinate, input index) in one integer sort.
-            key = pos_code >> (full - h)
-            key <<= bits
+            key = shifted & (((1 << h) - 1) << (full - h + bits))
             key |= ranks
             key.sort()
             key &= mask

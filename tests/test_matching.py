@@ -562,6 +562,41 @@ class TestRunVariant:
         with pytest.raises(ValueError, match="orthogonal"):
             RunVariant(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rotation_must_be_finite(self, bad):
+        rot = np.eye(3)
+        rot[1, 2] = bad
+        with pytest.raises(ValueError, match=r"rotation has a non-finite entry .* at \(1, 2\)"):
+            RunVariant(rotation=rot)
+
+    def test_rotation_is_a_read_only_copy(self):
+        r = np.eye(2)
+        v = RunVariant(r)
+        r[0, 0] = 3.0
+        np.testing.assert_array_equal(v.rotation, np.eye(2))
+        assert v.rotation.flags.writeable is False
+        with pytest.raises(ValueError):
+            v.rotation[0, 0] = 3.0
+
+    def test_variants_are_cached_and_equal_the_uncached_rule(self):
+        for d, seed, index in [(1, 0, 1), (2, 5, 1), (3, 5, 2), (3, 12345, 7)]:
+            v = RunVariant.random(d, seed, index)
+            assert RunVariant.random(d, seed, index) is v
+            draws = derive_rng(seed, _TAG_VARIANT, index)
+            q, r = np.linalg.qr(draws.standard_normal((d, d)))
+            q = q * np.sign(np.diag(r))
+            want = np.roll(q, -int(draws.integers(d)), axis=0)
+            assert v.rotation.tobytes() == want.tobytes()
+        assert RunVariant.identity(3) is RunVariant.identity(3)
+        assert RunVariant.identity(3).rotation.tobytes() == np.eye(3).tobytes()
+        assert RunVariant.random.cache_info().maxsize == 256
+        assert RunVariant.identity.cache_info().maxsize == 256
+
+    def test_negative_seed_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                RunVariant.random(2, -1, 1)
+
     def test_random_rotation_is_orthogonal(self):
         for d in (1, 2, 3, 7):
             v = RunVariant.random(d, seed=4, index=2)

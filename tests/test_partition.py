@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
-from rrmatch.matching import rrm_plan
+from rrmatch.matching import RunVariant, merged_rrm, rrm_plan
 from rrmatch.partition import (
     _position_codes,
     _rank_bits,
@@ -261,6 +261,12 @@ class TestPositionCodes:
         for n in (2**16, 2**16 + 1):
             np.testing.assert_array_equal(_position_codes(n), _position_codes_reference(n))
 
+    def test_matches_per_position_descent_at_random_large_n(self):
+        for n in np.random.default_rng(4096).integers(4097, 2**17 + 1, size=20):
+            table = _position_codes(int(n))
+            assert table.dtype == (np.uint32 if 2 * _rank_bits(int(n)) <= 32 else np.int64)
+            np.testing.assert_array_equal(table, _position_codes_reference(int(n)))
+
     def test_read_only_and_bounded(self):
         table = _position_codes(10)
         assert not table.flags.writeable
@@ -291,6 +297,7 @@ class TestThreadSafety:
         sys.setswitchinterval(1e-6)
         try:
             _position_codes.cache_clear()
+            RunVariant.random.cache_clear()
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [pool.submit(fn, *a) for a in args]
                 return [f.result(timeout=120) for f in futures]
@@ -312,6 +319,15 @@ class TestThreadSafety:
                  for n in (2**15, 3000, 2**15)]
         serial = [rrm_plan(X, Y).pi.tobytes() for X, Y in pairs]
         threaded = self._run_in_pool(rrm_plan, pairs)
+        assert [p.pi.tobytes() for p in threaded] == serial
+
+    def test_pool_merged_plans_match_serial_with_cold_variant_cache(self):
+        # Both threads derive the same variants into an emptied cache.
+        rng = np.random.default_rng(19)
+        pairs = [(PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2)))) for n in (500, 2000)]
+        args = [(X, Y, 5, seed) for X, Y in pairs for seed in (3, 4)]
+        serial = [merged_rrm(*a).pi.tobytes() for a in args]
+        threaded = self._run_in_pool(merged_rrm, args)
         assert [p.pi.tobytes() for p in threaded] == serial
 
 
