@@ -63,13 +63,15 @@ def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _position_codes(n: int) -> np.ndarray:
-    """Full-depth path code of the cell at each sorted position; read-only.
+    """Full-depth path code of the cell at each sorted position, in key layout; read-only.
 
     Rank splitting gives the first ``ceil(size/2)`` points of a cell to its
     left child, so the sizes and paths of the cells at every level depend on
     ``n`` alone.  Entry i is the path code, ``full_depth(n)`` digits wide, of
-    the leaf at position i of the tree-curve order; positions nest, so the
-    depth-h cell of position i is its top h digits.
+    the leaf at position i of the tree-curve order, shifted left by
+    ``bits = _rank_bits(n)``: the cell field of :func:`build_tree`'s sort key,
+    whose low ``bits`` hold a rank.  Positions nest, so the depth-h cell of
+    position i is the top h digits of its code.
 
     A cell's table depends only on its size s and depth: the left child's
     table followed by the right child's with the cell's digit set,
@@ -90,7 +92,7 @@ def _position_codes(n: int) -> np.ndarray:
         sizes.append({c for s in sizes[-1] for c in ((s + 1) // 2, s // 2)})
     tables = {s: np.zeros(s, dtype=dtype) for s in sizes[full]}
     for h in range(full - 1, -1, -1):
-        digit = 1 << (full - 1 - h)
+        digit = 1 << (full - 1 - h + bits)
         tables = {s: np.concatenate((tables[(s + 1) // 2], tables[s // 2] | digit)) for s in sizes[h]}
     table = tables[n]
     table.flags.writeable = False
@@ -110,11 +112,12 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     point's rank along the current axis, points grouped by cell and cells in
     path order.  Which cell a position belongs to depends on n alone: the
     depth-h cell of position i is the top h digits of the cached full-depth
-    code ``_position_codes(n)[i]``.  A level moves the ranks to its axis and
-    sorts one integer key per point: the position codes, shifted once per
-    build by ``bits = (n-1).bit_length()``, masked to their top h digits,
-    with the rank in the low ``bits`` (uint32 while ``2 * bits <= 32``, else
-    int64).  The masked code orders cells as their path does, and ranks are
+    code ``_position_codes(n)[i]``, which the table stores already shifted
+    left by ``bits = (n-1).bit_length()``.  A level moves the ranks to its
+    axis and sorts one integer key per point: the table masked to its top h
+    digits, with the rank in the low ``bits`` (uint32 while
+    ``2 * bits <= 32``, else int64).  The masked code orders cells as their
+    path does, and ranks are
     unique within a cell, so the sort groups points by cell in path order
     and by rank within each; the first ``ceil(size/2)`` points of each sorted
     cell form its left child.  Level 0 (one cell) is already in rank order,
@@ -161,12 +164,11 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     # Per point, grouped by cell with cells in path order: its rank along the
     # current axis.  Level 0 has one cell, already in rank order.
     ranks = np.arange(n, dtype=key_dtype)
-    shifted = pos_code << bits
     for h in range(1, depth):
         ranks = moves[(h - 1) % d].take(ranks)
         if h < full:
             # Unique keys sort by (cell, coordinate, input index) in one integer sort.
-            key = shifted & (((1 << h) - 1) << (full - h + bits))
+            key = pos_code & (((1 << h) - 1) << (full - h + bits))
             key |= ranks
             key.sort()
             key &= mask
@@ -175,10 +177,12 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     order = last[ranks]
     codes = np.empty(n, dtype=np.uint64)
     codes[order] = pos_code
-    if depth < full:
-        codes >>= np.uint64(full - depth)
+    # From the key layout to the address: the top ``depth`` digits of the code.
+    shift = depth - full - bits
+    if shift < 0:
+        codes >>= np.uint64(-shift)
     else:
-        codes <<= np.uint64(depth - full)
+        codes <<= np.uint64(shift)
     return order, codes
 
 

@@ -257,15 +257,15 @@ class TestPositionCodes:
         for n in range(1, 4097):
             table = _position_codes(n)
             assert table.dtype == (np.uint32 if 2 * _rank_bits(n) <= 32 else np.int64)
-            np.testing.assert_array_equal(table, _position_codes_reference(n))
+            np.testing.assert_array_equal(table, _position_codes_reference(n) << _rank_bits(n))
         for n in (2**16, 2**16 + 1):
-            np.testing.assert_array_equal(_position_codes(n), _position_codes_reference(n))
+            np.testing.assert_array_equal(_position_codes(n), _position_codes_reference(n) << _rank_bits(n))
 
     def test_matches_per_position_descent_at_random_large_n(self):
-        for n in np.random.default_rng(4096).integers(4097, 2**17 + 1, size=20):
-            table = _position_codes(int(n))
-            assert table.dtype == (np.uint32 if 2 * _rank_bits(int(n)) <= 32 else np.int64)
-            np.testing.assert_array_equal(table, _position_codes_reference(int(n)))
+        for n in map(int, np.random.default_rng(4096).integers(4097, 2**17 + 1, size=20)):
+            table = _position_codes(n)
+            assert table.dtype == (np.uint32 if 2 * _rank_bits(n) <= 32 else np.int64)
+            np.testing.assert_array_equal(table, _position_codes_reference(n) << _rank_bits(n))
 
     def test_read_only_and_bounded(self):
         table = _position_codes(10)
