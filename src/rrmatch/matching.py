@@ -8,11 +8,12 @@ original coordinates.  On large clouds a plan's two orderings run on two
 threads when the process may use more than one CPU; plans are the same either
 way.
 
-Run variants are cached per ``(d, seed, index)``, up to 256 of them, so
-repeated ``merged_rrm`` calls with a seed already used in the process (as
-SRRM's screening rounds make for every pair) reuse their rotations.  A cold
-first call with a new seed builds every variant and gains nothing from the
-cache.
+Run variants are cached per ``(d, seed, index)``, up to 256 of them.  A
+``merged_rrm`` call with a seed already used in the process skips the
+variants' draws, QR and orthogonality checks; SRRM's screening derives the
+same round seeds for every pair, so its calls after the first reuse them.
+A cold first call with a new seed builds every variant and gains nothing
+from the cache.
 """
 
 from __future__ import annotations
@@ -67,14 +68,10 @@ class RunVariant:
     The identity variant reproduces the canonical plan.  ``rotation`` is
     stored as a read-only float64 copy of the array passed in, so a variant
     stays what was checked; a non-finite or non-orthogonal rotation is
-    rejected.
-
-    :meth:`identity` and :meth:`random` are pure functions of their
-    arguments, so each keeps its last 256 variants (``functools.lru_cache``)
-    and callers share them.  Screening derives the same few seeds for every
-    pair it runs on, and each ``merged_rrm`` call with a seed already seen
-    in the process skips the draws, the QR and the orthogonality check; the
-    first call with a new seed builds its variants as before.
+    rejected.  :meth:`identity` and :meth:`random` are pure functions of
+    their arguments and keep their last 256 variants, which callers share.
+    Their caches key on argument types too, so a seed the generator rejects,
+    such as ``5.0``, raises even after the variant of seed 5 was cached.
     """
 
     rotation: np.ndarray
@@ -94,12 +91,12 @@ class RunVariant:
         object.__setattr__(self, "rotation", rot)
 
     @classmethod
-    @functools.lru_cache(maxsize=256)
+    @functools.lru_cache(maxsize=256, typed=True)
     def identity(cls, d: int) -> "RunVariant":
         return cls(rotation=np.eye(d))
 
     @classmethod
-    @functools.lru_cache(maxsize=256)
+    @functools.lru_cache(maxsize=256, typed=True)
     def random(cls, d: int, seed: RngSeed, index: int) -> "RunVariant":
         """Haar-random rotation for run ``index``, its rows rolled by a random start.
 

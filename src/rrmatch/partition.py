@@ -13,9 +13,11 @@ paths of the cells at every level, and which sorted positions each holds)
 depends on the point count n alone, never on the coordinates.  It is built
 once per n as a table of full-depth position codes, in a cache of at most 4
 read-only tables of ``n * 4`` bytes (``n * 8`` above n = 2**16); the depth-h
-cell of sorted position i is the top h digits of its entry.  The table is
-assembled from per-size tables, at most two per depth, so a cache miss costs
-O(n) work in O(log n) array operations.
+cell of sorted position i is the top h digits of its entry.  Entries are
+stored in the layout of the build's sort key, above its rank field, so a
+level masks them without shifting.  The table is assembled from per-size
+tables, at most two per depth, so a cache miss costs O(n) work in O(log n)
+array operations.
 """
 
 from __future__ import annotations
@@ -117,12 +119,11 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     axis and sorts one integer key per point: the table masked to its top h
     digits, with the rank in the low ``bits`` (uint32 while
     ``2 * bits <= 32``, else int64).  The masked code orders cells as their
-    path does, and ranks are
-    unique within a cell, so the sort groups points by cell in path order
-    and by rank within each; the first ``ceil(size/2)`` points of each sorted
-    cell form its left child.  Level 0 (one cell) is already in rank order,
-    and from level ``full_depth(n)`` on every cell is a singleton, so the
-    sort is skipped.
+    path does, and ranks are unique within a cell, so the sort groups points
+    by cell in path order and by rank within each; the first ``ceil(size/2)``
+    points of each sorted cell form its left child.  Level 0 (one cell) is
+    already in rank order, and from level ``full_depth(n)`` on every cell is
+    a singleton, so the sort is skipped.
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 

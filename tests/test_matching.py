@@ -592,10 +592,13 @@ class TestRunVariant:
         assert RunVariant.random.cache_info().maxsize == 256
         assert RunVariant.identity.cache_info().maxsize == 256
 
-    def test_negative_seed_raises_on_every_call(self):
+    def test_invalid_seed_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 RunVariant.random(2, -1, 1)
+        RunVariant.random(2, 5, 1)
+        with pytest.raises(TypeError):
+            RunVariant.random(2, 5.0, 1)
 
     def test_random_rotation_is_orthogonal(self):
         for d in (1, 2, 3, 7):

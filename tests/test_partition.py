@@ -322,10 +322,10 @@ class TestThreadSafety:
         assert [p.pi.tobytes() for p in threaded] == serial
 
     def test_pool_merged_plans_match_serial_with_cold_variant_cache(self):
-        # Both threads derive the same variants into an emptied cache.
+        # The first two calls derive the same variants at once into an emptied cache.
         rng = np.random.default_rng(19)
         pairs = [(PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2)))) for n in (500, 2000)]
-        args = [(X, Y, 5, seed) for X, Y in pairs for seed in (3, 4)]
+        args = [(X, Y, 5, seed) for seed in (3, 4) for X, Y in pairs]
         serial = [merged_rrm(*a).pi.tobytes() for a in args]
         threaded = self._run_in_pool(merged_rrm, args)
         assert [p.pi.tobytes() for p in threaded] == serial
