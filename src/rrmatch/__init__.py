@@ -8,7 +8,6 @@ the last-mile / convergence diagnostics.
 """
 
 from rrmatch.core import (
-    UNASSIGNED,
     CapExceededError,
     DataFormatError,
     InvalidCloudError,
@@ -51,6 +50,7 @@ from rrmatch.partition import (
     tree_curve_order,
 )
 from rrmatch.srrm import (
+    UNASSIGNED,
     SrrmConfig,
     SrrmResult,
     finalize_hungarian,

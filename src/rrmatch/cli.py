@@ -178,8 +178,9 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = args.spec
     X, Y = gen(spec)
-    if Y is not None and not args.out2:
-        print(f"family {spec.family!r} produces a pair; pass --out2", file=sys.stderr)
+    if (Y is None) == bool(args.out2):
+        hint = "one cloud; drop --out2" if Y is None else "a pair; pass --out2"
+        print(f"family {spec.family!r} produces {hint}", file=sys.stderr)
         return EXIT_USAGE
     save_point_cloud(X, args.out, args.format)
     record = {"command": "gen", "family": spec.family, "n": spec.n, "d": spec.d,
@@ -411,6 +412,7 @@ def _method_list(text: str) -> list[str]:
 
 
 def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
+    """Matcher flags; a ``table`` command takes neither --method nor --normalize."""
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="64-bit seed for all randomized steps")
     p.add_argument("--out", default=None, help="append records here instead of stdout")
@@ -420,7 +422,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
     else:
         p.add_argument("--format", choices=("csv", "pcf"), default=None,
                        help="cloud file format (default: infer from extension)")
-    p.add_argument("--method", choices=METHODS, default="srrm")
+        p.add_argument("--method", choices=METHODS, default="srrm")
+        p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
     p.add_argument("--K", type=_int_at_least(1), default=8, help="merge runs")
     p.add_argument("--R", type=_int_at_least(0), default=10, help="screening rounds")
     p.add_argument("--anchors", type=_int_at_least(0), default=5,
@@ -428,7 +431,6 @@ def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
     p.add_argument("--cap", type=_int_at_least(0), default=None,
                    help="exact-assignment size cap (default 1024 for exact, 4096 for the "
                         "screening residual)")
-    p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
 
 
 def _add_generator_params(p: argparse.ArgumentParser) -> None:
@@ -479,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("plateau", help="bias-floor table over a generator grid")
+    # No abbreviations here, so that --method is an unknown flag, not --methods.
+    p = sub.add_parser("plateau", help="bias-floor table over a generator grid", allow_abbrev=False)
     _add_generator_params(p)
     _add_common(p, table=True)
     p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")

@@ -13,9 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-#: Sentinel for an unassigned entry in a :class:`Plan`.
-UNASSIGNED = -1
-
 #: Seeds are plain 64-bit unsigned integers.
 RngSeed = int
 
@@ -109,14 +106,37 @@ def _as_cloud(X: PointCloud | np.ndarray) -> PointCloud:
     return X if isinstance(X, PointCloud) else PointCloud(X)
 
 
+def _check_assignment(pi: np.ndarray, n: int, where: np.ndarray | None = None, distinct: bool = True) -> None:
+    """SizeMismatchError unless ``pi`` has n entries; ValueError naming the first
+    entry that the boolean mask ``where`` selects (all by default) and that lies
+    outside ``[0, n)`` or, with ``distinct``, repeats an earlier one."""
+    if pi.shape != (n,):
+        raise SizeMismatchError(f"plan size {pi.shape} does not match cloud size {n}")
+    targets = pi if where is None else pi[where]
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        bad, problem = (targets < 0) | (targets >= n), f"is outside [0, {n})"
+    elif not distinct:
+        return
+    else:
+        seen = np.zeros(n, dtype=bool)
+        seen[targets] = True
+        if np.count_nonzero(seen) == targets.size:
+            return
+        bad = np.ones(targets.size, dtype=bool)
+        bad[np.unique(targets, return_index=True)[1]] = False
+        problem = "repeats an earlier target; targets must be pairwise distinct"
+    k = int(np.argmax(bad))
+    i = k if where is None else int(np.flatnonzero(where)[k])
+    raise ValueError(f"pi[{i}] = {targets[k]} {problem}")
+
+
 @dataclass(frozen=True)
 class Plan:
-    """A (possibly partial) bijection between two index sets of equal size n.
+    """A bijection of ``range(n)`` onto itself: source ``i`` goes to target ``pi[i]``.
 
-    ``pi[i]`` is the target index matched to source ``i``, or ``UNASSIGNED``.
-    Assigned entries are pairwise distinct.  ``squared_cost_sum`` is the sum of
-    squared Euclidean costs over assigned pairs (not divided by n).  ``pi``
-    is stored as a read-only int64 copy of the array passed in.
+    ``squared_cost_sum`` is the sum of squared Euclidean costs over all pairs
+    (not divided by n).  ``pi`` is stored as a read-only int64 copy of the
+    array passed in.
     """
 
     pi: np.ndarray
@@ -126,14 +146,7 @@ class Plan:
         pi = np.array(self.pi, dtype=np.int64, order="C")
         if pi.ndim != 1 or pi.size < 1:
             raise ValueError("pi must be a non-empty 1-d index array")
-        assigned = pi[pi != UNASSIGNED]
-        if assigned.size:
-            if assigned.min() < 0 or assigned.max() >= pi.size:
-                raise ValueError("assigned targets out of range")
-            seen = np.zeros(pi.size, dtype=bool)
-            seen[assigned] = True
-            if np.count_nonzero(seen) != assigned.size:
-                raise ValueError("assigned targets must be pairwise distinct")
+        _check_assignment(pi, pi.size)
         if not math.isfinite(self.squared_cost_sum) or self.squared_cost_sum < 0:
             raise ValueError(f"squared_cost_sum must be finite and >= 0, got {self.squared_cost_sum}")
         pi.flags.writeable = False
@@ -144,18 +157,12 @@ class Plan:
         return self.pi.size
 
     @property
-    def is_complete(self) -> bool:
-        return bool((self.pi != UNASSIGNED).all())
-
-    @property
     def rms(self) -> float:
         """Root-mean-square cost, sqrt(squared_cost_sum / n)."""
         return math.sqrt(self.squared_cost_sum / self.n)
 
     def inverse(self) -> np.ndarray:
-        """Inverse permutation of a complete plan."""
-        if not self.is_complete:
-            raise ValueError("inverse() requires a complete plan")
+        """The inverse permutation."""
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.pi] = np.arange(self.n, dtype=np.int64)
         return inv
@@ -192,11 +199,14 @@ def _centred(coords: np.ndarray) -> np.ndarray:
 
 
 def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
-    """Recompute the squared-cost sum of a (partial) assignment from scratch."""
-    X, Y = _as_cloud(X), _as_cloud(Y)
+    """Recompute the squared-cost sum of the assignment ``i -> pi[i]`` from scratch.
+
+    ``pi`` needs one entry per point, each in ``[0, n)``.
+    """
+    X, Y = _check_pair(X, Y)
     pi = np.asarray(pi, dtype=np.int64)
+    _check_assignment(pi, X.n, distinct=False)
     diff = _pair_diff(X.coords, Y.coords, pi)
-    diff[pi == UNASSIGNED] = 0.0
     return float(np.einsum("ij,ij->", diff, diff))
 
 

@@ -144,7 +144,7 @@ def premature_set(
 class LastMileReport:
     """Proportion/severity decomposition of one realized plan.
 
-    ``rrm_sq >= lower_bound`` holds up to rounding for every complete plan:
+    ``rrm_sq >= lower_bound`` holds up to rounding for every plan:
     the per-point excess over the NN baseline is nonnegative by definition of
     the baseline, and the bound keeps only the excess on the bad set.
     """
@@ -159,15 +159,13 @@ class LastMileReport:
 def plateau_decomposition(
     X: PointCloud, Y: PointCloud, plan: Plan, params: LastMileParams
 ) -> LastMileReport:
-    """Decompose a complete plan's mean squared cost against the NN baseline.
+    """Decompose a plan's mean squared cost against the NN baseline.
 
     All quantities are evaluated after translating each cloud's barycenter to
     the origin, so the report isolates shape mismatch from any net offset
     between the clouds.
     """
     X, Y = _check_pair(X, Y)
-    if not plan.is_complete:
-        raise ValueError("plateau_decomposition requires a complete plan")
     if plan.n != X.n:
         raise SizeMismatchError("plan size does not match cloud size")
 

@@ -172,7 +172,7 @@ def _cycle_labels(tau: np.ndarray) -> np.ndarray:
 
 
 def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
-    """Combine two complete plans, never worse than either.
+    """Combine two plans, never worse than either.
 
     The composition q o p^-1 decomposes the sources into disjoint cycles;
     within a cycle the two plans use the same set of targets, so taking
@@ -180,8 +180,6 @@ def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
     stays a permutation and costs at most min(cost(p), cost(q)).
     """
     X, Y = _check_pair(X, Y)
-    if not (p.is_complete and q.is_complete):
-        raise ValueError("merge_pair requires complete plans")
     if p.n != X.n or q.n != X.n:
         raise SizeMismatchError("plan size does not match cloud size")
 
@@ -311,8 +309,8 @@ def squared_distance_matrix(X: PointCloud | np.ndarray, Y: PointCloud | np.ndarr
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _exact_solve(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, float]:
-    """An optimal assignment of two checked clouds and its total cost.
+def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
+    """An optimal assignment of X to Y.
 
     The assignment is solved on the clouds centred on their own means.  With
     ``δ = mean(X) - mean(Y)``, the cost between the centred points is
@@ -326,30 +324,23 @@ def _exact_solve(X: PointCloud, Y: PointCloud) -> tuple[np.ndarray, float]:
     total is summed in row order from the original coordinates.  Which
     optimum comes back among ties is not contracted.
     """
-    pi = hungarian(squared_distance_matrix(_centred(X.coords), _centred(Y.coords))).pi
-    return pi, float(_pair_costs(X.coords, Y.coords, pi).sum())
-
-
-def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
-    """An optimal complete assignment of X to Y (see :func:`_exact_solve`)."""
     X, Y = _check_pair(X, Y)
-    pi, total = _exact_solve(X, Y)
-    return Plan(pi=pi, squared_cost_sum=total)
+    pi = hungarian(squared_distance_matrix(_centred(X.coords), _centred(Y.coords))).pi
+    return Plan(pi=pi, squared_cost_sum=float(_pair_costs(X.coords, Y.coords, pi).sum()))
 
 
 def exact_w2(X: PointCloud, Y: PointCloud, cap: int = 1024) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds.
 
-    Solves the full assignment problem on squared distances of the
-    mean-centred clouds (:func:`_exact_solve`), which leaves the optimal
-    total unchanged; refuses to run above ``cap`` points, where the surrogate
-    methods are the intended tool.  Peak memory is two n×n float64 arrays
-    (the distances and the solver's work buffer, 16 MiB at n=1024).
+    The root-mean-square cost of :func:`exact_plan`, solved on the
+    mean-centred clouds, which leaves the optimal total unchanged; refuses to
+    run above ``cap`` points, where the surrogate methods are the intended
+    tool.  Peak memory is two n×n float64 arrays (the distances and the
+    solver's work buffer, 16 MiB at n=1024).
     """
     X, Y = _check_pair(X, Y)
     if X.n > cap:
         raise CapExceededError(
             f"exact_w2 capped at {cap} points, got {X.n}; use rrm/merged/srrm surrogates"
         )
-    _, total = _exact_solve(X, Y)
-    return math.sqrt(total / X.n)
+    return exact_plan(X, Y).rms

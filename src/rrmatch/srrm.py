@@ -3,9 +3,10 @@
 Each round matches the currently unresolved subsets augmented with synthetic
 anchor points appended identically to both sides.  A real point matched to a
 real point is committed as reliable and never revisited; a real point captured
-by an anchor is carried into the next round.  Whatever survives the rounds is
-completed by an exact assignment on the residual, and an optional guard makes
-the result never worse than plain multi-run matching.
+by an anchor is carried into the next round.  The assignment stays an int64
+array, ``UNASSIGNED`` where uncommitted, until an exact assignment on the
+residual completes it into a plan; an optional guard makes the result never
+worse than plain multi-run matching.
 """
 
 from __future__ import annotations
@@ -16,21 +17,23 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from rrmatch.core import (
-    UNASSIGNED,
     CapExceededError,
     Plan,
     PointCloud,
     RngSeed,
-    SizeMismatchError,
     _as_cloud,
     _centred,
     _check_pair,
     _check_seed,
+    _check_assignment,
     derive_rng,
     derive_seed,
     plan_squared_cost,
 )
 from rrmatch.matching import hungarian, merged_rrm, squared_distance_matrix
+
+#: Marks a source with no committed target in a partial assignment.
+UNASSIGNED = -1
 
 #: Anchor spread when a subset has a single point and no neighbor distance.
 _LONE_POINT_SCALE = 0.01
@@ -48,8 +51,8 @@ class SrrmConfig:
     anchors_per_point=0, round 0 matches the real points alone and commits
     all of them, so the pipeline plan is ``merged_rrm`` seeded with round 0's
     derived seed, not with ``seed``, and finalization has nothing to do.
-    ``guard`` keeps one extra merged run and returns whichever complete plan
-    is cheaper, making "never worse than merged" a hard invariant.
+    ``guard`` keeps one extra merged run and returns whichever plan is
+    cheaper, making "never worse than merged" a hard invariant.
     """
 
     rounds: int = 10
@@ -118,8 +121,6 @@ def select(T: Plan, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep_y the real targets captured by an anchor.  Bijectivity of T forces
     len(keep_x) == len(keep_y).
     """
-    if not T.is_complete:
-        raise ValueError("select requires a complete plan on the augmented sets")
     if not 0 <= m <= T.n:
         raise ValueError(f"real-count m={m} out of range for plan of size {T.n}")
     pi = T.pi
@@ -136,36 +137,33 @@ def select(T: Plan, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def finalize_hungarian(
     X: PointCloud,
     Y: PointCloud,
-    partial: Plan,
+    partial: np.ndarray,
     cap: int = 4096,
 ) -> Plan:
-    """Complete a partial injective plan with an exact residual assignment.
+    """Complete a partial assignment into a plan by an exact residual assignment.
 
-    Unassigned sources are matched to unused targets by minimum total squared
-    cost; committed entries are untouched.  The residual sources and targets
-    are each centred on their own mean before the cost matrix is built: the
-    shift adds only row and column terms, so the optimal assignments are
-    unchanged, and the solve was faster (3.2 to 2.0 s on a residual of 1878
-    points).  The plan's cost is recomputed from the original coordinates.
-    Which optimum comes back among ties is not contracted.
+    ``partial[i]`` is source i's committed target, or ``UNASSIGNED``; committed
+    targets must lie in ``[0, n)`` and be pairwise distinct.  The unassigned
+    sources get the unused targets at minimum total squared cost, solved on the
+    residual clouds each centred on its own mean: that adds only row and column
+    terms, so the optimal assignments are unchanged, and the solve was faster
+    (3.2 to 2.0 s on a residual of 1878 points).  The cost is summed from the
+    original coordinates.  Which optimum comes back among ties is not contracted.
     """
     X, Y = _check_pair(X, Y)
-    if partial.n != X.n:
-        raise SizeMismatchError("plan size does not match cloud size")
-    pi = partial.pi.copy()
-    rows = np.flatnonzero(pi == UNASSIGNED)
-    if rows.size == 0:
-        return partial
-    used = np.zeros(X.n, dtype=bool)
-    used[pi[pi != UNASSIGNED]] = True
-    cols = np.flatnonzero(~used)
+    pi = np.array(partial, dtype=np.int64)
+    committed = pi != UNASSIGNED
+    _check_assignment(pi, X.n, where=committed)
+    rows = np.flatnonzero(~committed)
     if rows.size > cap:
         raise CapExceededError(
             f"residual assignment of size {rows.size} exceeds cap {cap}; "
             "run more screening rounds or raise the cap"
         )
-    sub = hungarian(squared_distance_matrix(_centred(X.coords[rows]), _centred(Y.coords[cols])))
-    pi[rows] = cols[sub.pi]
+    if rows.size:
+        cols = np.setdiff1d(np.arange(X.n), pi[committed], assume_unique=True)
+        sub = hungarian(squared_distance_matrix(_centred(X.coords[rows]), _centred(Y.coords[cols])))
+        pi[rows] = cols[sub.pi]
     return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
 
 
@@ -196,7 +194,7 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
             guard_applied=False,
         )
 
-    # The global partial plan and the still unresolved sources and targets.
+    # The global partial assignment and the still unresolved sources and targets.
     pi = np.full(n, UNASSIGNED, dtype=np.int64)
     unresolved_x = np.arange(n, dtype=np.int64)
     unresolved_y = np.arange(n, dtype=np.int64)
@@ -227,8 +225,7 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
         history.append(int(unresolved_x.size))
 
     residual = int(unresolved_x.size)
-    partial = Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
-    plan = finalize_hungarian(X, Y, partial, cfg.hungarian_cap)
+    plan = finalize_hungarian(X, Y, pi, cfg.hungarian_cap)
 
     guard_applied = False
     if cfg.guard:

@@ -47,6 +47,13 @@ class TestGen:
         assert code == 2
         assert "out2" in capsys.readouterr().err
 
+    def test_single_cloud_family_rejects_out2(self, tmp_path, capsys):
+        code = run("gen", "--family", "uniform-box", "--n", 8, "--out", tmp_path / "a.pcf",
+                   "--out2", tmp_path / "b.pcf")
+        assert code == 2
+        assert "--out2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_pair_round_trip(self, tmp_path):
         a, b = tmp_path / "a.pcf", tmp_path / "b.pcf"
         assert run("gen", "--family", "perturbed-copy", "--n", 16, "--alpha", 0.0,
@@ -281,6 +288,16 @@ class TestPlateauCommand:
 
     def test_rejects_other_families(self, tmp_path, capsys):
         assert run("plateau", "--family", "uniform-box", "--grid", "0", "--n", 16) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--normalize", "none")])
+    def test_rejects_flags_it_never_read(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "plateau.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run("plateau", "--family", "line-mixture", "--grid", "0", "--n", 16, flag, value,
+                "--out", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConvergeCommand:

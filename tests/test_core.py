@@ -6,6 +6,7 @@ from rrmatch.core import (
     InvalidCloudError,
     Plan,
     PointCloud,
+    SizeMismatchError,
     derive_rng,
     derive_seed,
     load_point_cloud,
@@ -44,17 +45,20 @@ class TestPointCloud:
 
 class TestPlan:
     def test_rejects_duplicate_targets(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match=r"pi\[1\] = 0 repeats .* distinct"):
             Plan(pi=np.array([0, 0, 1]), squared_cost_sum=0.0)
-        with pytest.raises(ValueError, match="distinct"):
-            Plan(pi=np.array([2, -1, 2, -1]), squared_cost_sum=0.0)
+        with pytest.raises(ValueError, match=r"pi\[3\] = 2 repeats"):
+            Plan(pi=np.array([0, 2, 1, 2, 0]), squared_cost_sum=0.0)
 
-    def test_partial_and_complete(self):
-        partial = Plan(pi=np.array([1, -1, 0]), squared_cost_sum=0.5)
-        assert not partial.is_complete
-        complete = Plan(pi=np.array([1, 2, 0]), squared_cost_sum=0.5)
-        assert complete.is_complete
-        assert complete.rms == pytest.approx(np.sqrt(0.5 / 3))
+    def test_rejects_unassigned_and_names_it(self):
+        with pytest.raises(ValueError, match=r"pi\[1\] = -1 is outside \[0, 3\)"):
+            Plan(pi=np.array([1, -1, 0]), squared_cost_sum=0.5)
+        with pytest.raises(ValueError, match=r"pi\[1\] = -1 is outside"):
+            Plan(pi=np.array([2, -1, 2, -1]), squared_cost_sum=0.0)
+        with pytest.raises(ValueError, match=r"pi\[0\] = 3 is outside \[0, 3\)"):
+            Plan(pi=np.array([3, 0, 1]), squared_cost_sum=0.0)
+        plan = Plan(pi=np.array([1, 2, 0]), squared_cost_sum=0.5)
+        assert plan.rms == pytest.approx(np.sqrt(0.5 / 3))
 
     def test_inverse(self):
         plan = Plan(pi=np.array([2, 0, 1]), squared_cost_sum=0.0)
@@ -69,14 +73,23 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan.pi[0] = 1
 
-    def test_cost_skips_unassigned(self):
+    def test_cost_rejects_entry_out_of_range(self):
         rng = np.random.default_rng(7)
-        X = PointCloud(rng.random((6, 2)))
-        Y = PointCloud(rng.random((6, 2)))
-        pi = np.array([3, -1, 0, -1, 5, 1])
-        direct = sum(np.sum((X.coords[i] - Y.coords[pi[i]]) ** 2) for i in range(6) if pi[i] != -1)
-        assert plan_squared_cost(X, Y, pi) == pytest.approx(direct, rel=1e-12)
-        assert plan_squared_cost(X, Y, np.full(6, -1)) == 0.0
+        X = PointCloud(rng.random((5, 2)))
+        Y = PointCloud(rng.random((5, 2)))
+        with pytest.raises(ValueError, match=r"pi\[0\] = -2 is outside \[0, 5\)"):
+            plan_squared_cost(X, Y, np.array([-2, 0, 1, 2, 3]))
+        with pytest.raises(ValueError, match=r"pi\[3\] = -1 is outside"):
+            plan_squared_cost(X, Y, np.array([3, 4, 0, -1, 1]))
+        with pytest.raises(ValueError, match=r"pi\[4\] = 5 is outside"):
+            plan_squared_cost(X, Y, np.array([0, 1, 2, 3, 5]))
+
+    @pytest.mark.parametrize("size", [1, 4, 6])
+    def test_cost_rejects_wrong_length(self, size):
+        rng = np.random.default_rng(8)
+        X = PointCloud(rng.random((5, 2)))
+        with pytest.raises(SizeMismatchError, match="plan size"):
+            plan_squared_cost(X, X, np.zeros(size, dtype=np.int64))
 
     def test_cost_recompute_matches(self):
         rng = np.random.default_rng(3)

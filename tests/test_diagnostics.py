@@ -144,12 +144,6 @@ class TestPlateauDecomposition:
         copy = plateau_decomposition(PointCloud(X.coords), PointCloud(Y.coords), plans[1], params)
         assert copy == forward[1][1]
 
-    def test_rejects_incomplete_plan(self):
-        X = PointCloud(np.random.default_rng(5).random((4, 2)))
-        partial = Plan(pi=np.array([0, 1, -1, -1]), squared_cost_sum=0.0)
-        with pytest.raises(ValueError, match="complete"):
-            plateau_decomposition(X, X, partial, LastMileParams(depth=3, d=2))
-
 
 class TestUniformPopulation:
     def test_curve_integrals_one_dim_closed_form(self):

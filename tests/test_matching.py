@@ -55,7 +55,6 @@ class TestRrmPlan:
         rng = np.random.default_rng(0)
         X = PointCloud(rng.random((33, 3)))
         plan = rrm_plan(X, X)
-        assert plan.is_complete
         assert plan.squared_cost_sum == 0.0
         np.testing.assert_array_equal(X.coords[plan.pi], X.coords)
 
@@ -273,13 +272,6 @@ class TestMergePair:
             merged = merge_pair(p, q, X, Y)
             assert merged.squared_cost_sum <= min(p.squared_cost_sum, q.squared_cost_sum) + 1e-12
 
-    def test_rejects_incomplete(self):
-        X = PointCloud(np.zeros((2, 1)))
-        partial = Plan(pi=np.array([0, -1]), squared_cost_sum=0.0)
-        complete = Plan(pi=np.array([0, 1]), squared_cost_sum=0.0)
-        with pytest.raises(ValueError, match="complete"):
-            merge_pair(partial, complete, X, X)
-
 
 class TestMergedRrm:
     def test_single_run_equals_identity_plan(self):
@@ -485,7 +477,6 @@ class TestExactPlan:
         rows, cols = linear_sum_assignment(cost)
         want = cost[rows, cols].sum()
         plan = exact_plan(X, Y)
-        assert plan.is_complete
         assert abs(plan.squared_cost_sum - want) <= 1e-12 * want
         assert plan.squared_cost_sum == pytest.approx(plan_squared_cost(X, Y, plan.pi), rel=1e-12)
         assert exact_w2(X, Y) == plan.rms

@@ -11,14 +11,21 @@ from rrmatch.core import (
     Plan,
     PointCloud,
     SizeMismatchError,
-    UNASSIGNED,
     derive_rng,
     derive_seed,
     plan_squared_cost,
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_distance, squared_distance_matrix
-from rrmatch.srrm import _TAG_ROUND, SrrmConfig, finalize_hungarian, sample_near, select, srrm_match
+from rrmatch.srrm import (
+    _TAG_ROUND,
+    UNASSIGNED,
+    SrrmConfig,
+    finalize_hungarian,
+    sample_near,
+    select,
+    srrm_match,
+)
 
 
 def straddling_rings():
@@ -95,11 +102,6 @@ class TestSelect:
             _, keep_x, keep_y = select(T, m)
             assert keep_x.size == keep_y.size
 
-    def test_rejects_incomplete(self):
-        T = Plan(pi=np.array([0, -1]), squared_cost_sum=0.0)
-        with pytest.raises(ValueError, match="complete"):
-            select(T, 1)
-
 
 class TestFinalize:
     def test_complete_plan_untouched(self):
@@ -107,15 +109,16 @@ class TestFinalize:
         X = PointCloud(rng.random((8, 2)))
         Y = PointCloud(rng.random((8, 2)))
         plan = hungarian(squared_distance_matrix(X, Y))
-        assert finalize_hungarian(X, Y, plan) is plan
+        completed = finalize_hungarian(X, Y, plan.pi)
+        np.testing.assert_array_equal(completed.pi, plan.pi)
+        assert completed.squared_cost_sum == plan_squared_cost(X, Y, plan.pi)
 
     def test_empty_plan_equals_full_hungarian(self):
         rng = np.random.default_rng(7)
         X = PointCloud(rng.random((10, 2)))
         Y = PointCloud(rng.random((10, 2)))
-        empty = Plan(pi=np.full(10, UNASSIGNED), squared_cost_sum=0.0)
         full = hungarian(squared_distance_matrix(X, Y))
-        assert finalize_hungarian(X, Y, empty).squared_cost_sum == pytest.approx(
+        assert finalize_hungarian(X, Y, np.full(10, UNASSIGNED)).squared_cost_sum == pytest.approx(
             full.squared_cost_sum, rel=1e-12
         )
 
@@ -126,8 +129,7 @@ class TestFinalize:
         pi = np.full(9, UNASSIGNED)
         pi[:4] = [8, 7, 6, 5]  # pre-commit four pairs, leave a 5x5 residual
         committed = float(((X.coords[:4] - Y.coords[pi[:4]]) ** 2).sum())
-        partial = Plan(pi=pi, squared_cost_sum=committed)
-        completed = finalize_hungarian(X, Y, partial)
+        completed = finalize_hungarian(X, Y, pi)
         rows = np.arange(4, 9)
         cols = np.array([0, 1, 2, 3, 4])
         sub = squared_distance_matrix(X.coords[rows], Y.coords[cols])
@@ -136,6 +138,7 @@ class TestFinalize:
         )
         assert completed.squared_cost_sum - committed == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(completed.pi[:4], pi[:4])
+        assert (pi[4:] == UNASSIGNED).all()  # the caller's array is left as it was
 
     @pytest.mark.parametrize("n, residual", [(9, 1), (9, 4), (12, 7), (80, 60)])
     def test_far_translated_residual_keeps_the_uncentred_optimum(self, n, residual):
@@ -147,8 +150,7 @@ class TestFinalize:
         committed = np.setdiff1d(np.arange(n), rows)
         cols = np.sort(rng.choice(n, residual, replace=False))
         pi[committed] = rng.permutation(np.setdiff1d(np.arange(n), cols))
-        partial = Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
-        completed = finalize_hungarian(X, Y, partial)
+        completed = finalize_hungarian(X, Y, pi)
         np.testing.assert_array_equal(completed.pi[committed], pi[committed])
         assert completed.squared_cost_sum == plan_squared_cost(X, Y, completed.pi)
         sub = squared_distance_matrix(X.coords[rows], Y.coords[cols])
@@ -158,10 +160,10 @@ class TestFinalize:
         want = plan_squared_cost(X, Y, uncentred)
         assert abs(completed.squared_cost_sum - want) <= 1e-12 * want
         if residual <= 7:
+            committed_cost = float(((X.coords[committed] - Y.coords[pi[committed]]) ** 2).sum())
             best = min(sub[np.arange(residual), list(perm)].sum()
                        for perm in itertools.permutations(range(residual)))
-            assert completed.squared_cost_sum == pytest.approx(partial.squared_cost_sum + best,
-                                                               rel=1e-12)
+            assert completed.squared_cost_sum == pytest.approx(committed_cost + best, rel=1e-12)
 
     @pytest.mark.parametrize("size", [5, 7])
     def test_plan_size_must_match_clouds(self, size):
@@ -171,15 +173,26 @@ class TestFinalize:
         pi = np.full(size, UNASSIGNED)
         pi[0] = 0
         with pytest.raises(SizeMismatchError, match="plan size"):
-            finalize_hungarian(X, Y, Plan(pi=pi, squared_cost_sum=0.0))
+            finalize_hungarian(X, Y, pi)
+
+    @pytest.mark.parametrize("partial, message", [
+        ([3, -1, 3, -1, 0, -1], r"pi\[2\] = 3 repeats an earlier target"),
+        ([-1, 6, -1, 0, -1, 1], r"pi\[1\] = 6 is outside \[0, 6\)"),
+        ([0, -1, -2, -1, 1, 2], r"pi\[2\] = -2 is outside \[0, 6\)"),
+    ])
+    def test_committed_targets_checked_and_named(self, partial, message):
+        rng = np.random.default_rng(10)
+        X = PointCloud(rng.random((6, 2)))
+        Y = PointCloud(rng.random((6, 2)))
+        with pytest.raises(ValueError, match=message):
+            finalize_hungarian(X, Y, np.array(partial))
 
     def test_cap(self):
         rng = np.random.default_rng(9)
         X = PointCloud(rng.random((6, 2)))
         Y = PointCloud(rng.random((6, 2)))
-        empty = Plan(pi=np.full(6, UNASSIGNED), squared_cost_sum=0.0)
         with pytest.raises(CapExceededError, match="rounds"):
-            finalize_hungarian(X, Y, empty, cap=5)
+            finalize_hungarian(X, Y, np.full(6, UNASSIGNED), cap=5)
 
 
 class TestSrrmMatch:
@@ -196,7 +209,6 @@ class TestSrrmMatch:
         X = PointCloud(rng.random((50, 2)))
         result = srrm_match(X, X, SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=1))
         assert result.value == 0.0
-        assert result.plan.is_complete
 
     def test_zero_rounds_equals_merged(self):
         rng = np.random.default_rng(11)
@@ -312,7 +324,7 @@ class TestSrrmMatch:
         Y = PointCloud(rng.random((n, d)))
         cfg = SrrmConfig(rounds=rounds, anchors_per_point=anchors, merge_runs=2, seed=seed)
         result = srrm_match(X, Y, cfg)
-        assert result.plan.is_complete
+        assert result.plan.n == n
         assert np.unique(result.plan.pi).size == n
 
     def test_last_mile_sanity(self):
