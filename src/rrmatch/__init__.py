@@ -39,7 +39,6 @@ from rrmatch.matching import (
     hungarian,
     merge_pair,
     merged_rrm,
-    rrm_distance,
     rrm_plan,
     squared_distance_matrix,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "plan_squared_cost",
     "plateau_decomposition",
     "premature_set",
-    "rrm_distance",
     "rrm_plan",
     "sample_near",
     "save_point_cloud",

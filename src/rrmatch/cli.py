@@ -32,13 +32,14 @@ from rrmatch.core import (
     save_point_cloud,
 )
 from rrmatch.diagnostics import (
+    MAX_POPULATION_DEPTH,
     LastMileParams,
     convergence_experiment,
     plateau_decomposition,
     threshold_consistency_experiment,
 )
 from rrmatch.generators import FAMILIES, GeneratorSpec, gen
-from rrmatch.matching import exact_plan, exact_w2, merged_rrm, rrm_plan
+from rrmatch.matching import EXACT_CAP, exact_plan, exact_w2, merged_rrm, rrm_plan
 from rrmatch.partition import MAX_DEPTH
 from rrmatch.srrm import SrrmConfig, srrm_match
 
@@ -52,13 +53,17 @@ METHODS = ("rrm", "merged", "srrm", "exact")
 _TAG_CLI = 7
 
 
-def _emit(record: dict, out_path: str | None, stream=None) -> None:
-    line = json.dumps(record, sort_keys=True)
+def _write(text: str, out_path: str | None) -> None:
+    """Append text to out_path, or write it to stdout."""
     if out_path:
         with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+            fh.write(text)
     else:
-        print(line, file=stream or sys.stdout)
+        sys.stdout.write(text)
+
+
+def _emit(record: dict, out_path: str | None) -> None:
+    _write(json.dumps(record, sort_keys=True) + "\n", out_path)
 
 
 def _write_table(records: list[dict], out_path: str | None, fmt: str) -> None:
@@ -75,19 +80,11 @@ def _write_table(records: list[dict], out_path: str | None, fmt: str) -> None:
         writer.writerow(
             {k: json.dumps(v) if isinstance(v, (dict, list)) else v for k, v in record.items()}
         )
-    if out_path:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write(buffer.getvalue(), out_path)
 
 
 def _exact_cap(args: argparse.Namespace) -> int:
-    return args.cap if args.cap is not None else 1024
-
-
-def _screening_cap(args: argparse.Namespace) -> int:
-    return args.cap if args.cap is not None else 4096
+    return EXACT_CAP if args.cap is None else args.cap
 
 
 def _load_pair(file_x: str, file_y: str, fmt: str | None) -> tuple[PointCloud, PointCloud]:
@@ -100,52 +97,33 @@ def _maybe_normalize(X: PointCloud, Y: PointCloud, mode: str) -> tuple[PointClou
     return normalize_unit_box(X, Y, mode)
 
 
-def _srrm_config(args: argparse.Namespace) -> SrrmConfig:
-    return SrrmConfig(
-        rounds=args.R,
-        anchors_per_point=args.anchors,
-        merge_runs=args.K,
-        hungarian_cap=_screening_cap(args),
-        seed=args.seed,
-    )
-
-
-def _plan_for_method(
-    method: str, X: PointCloud, Y: PointCloud, args: argparse.Namespace
-) -> tuple[Plan, dict]:
-    """Plan on the (already normalized) pair plus the method's parameter record."""
-    if method == "rrm":
-        return rrm_plan(X, Y), {}
-    if method == "merged":
-        return merged_rrm(X, Y, args.K, args.seed), {"K": args.K}
-    if method == "srrm":
-        cfg = _srrm_config(args)
-        result = srrm_match(X, Y, cfg)
-        return result.plan, {
-            "K": cfg.merge_runs,
-            "R": cfg.rounds,
-            "anchors": cfg.anchors_per_point,
-            "cap": cfg.hungarian_cap,
-            "history": list(result.history),
-        }
-    if method == "exact":
-        cap = _exact_cap(args)
-        if X.n > cap:
-            raise CapExceededError(f"exact method capped at {cap} points, got {X.n}")
-        return exact_plan(X, Y), {"cap": cap}
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _timed_plan(
     method: str, X: PointCloud, Y: PointCloud, args: argparse.Namespace
 ) -> tuple[Plan, dict, dict]:
-    """:func:`_plan_for_method` plus the record's ``timing`` (wall ms, timestamp).
+    """Plan on the (already normalized) pair, the method's parameter record,
+    and the record's ``timing`` (wall ms, timestamp).
 
     Records keep everything that varies between identical runs under
     ``timing``, so the rest of a record compares byte for byte.
     """
     t0 = time.perf_counter()
-    plan, params = _plan_for_method(method, X, Y, args)
+    if method == "rrm":
+        plan, params = rrm_plan(X, Y), {}
+    elif method == "merged":
+        plan, params = merged_rrm(X, Y, args.K, args.seed), {"K": args.K}
+    elif method == "srrm":
+        # Without --cap the residual keeps the config's own cap.
+        cap = {} if args.cap is None else {"hungarian_cap": args.cap}
+        cfg = SrrmConfig(rounds=args.R, anchors_per_point=args.anchors, merge_runs=args.K,
+                         seed=args.seed, **cap)
+        result = srrm_match(X, Y, cfg)
+        plan, params = result.plan, {"K": args.K, "R": args.R, "anchors": args.anchors,
+                                     "cap": cfg.hungarian_cap, "history": list(result.history)}
+    else:
+        cap = _exact_cap(args)
+        if X.n > cap:
+            raise CapExceededError(f"exact method capped at {cap} points, got {X.n}")
+        plan, params = exact_plan(X, Y), {"cap": cap}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return plan, params, {"wall_ms": wall_ms, "timestamp": time.time()}
 
@@ -160,19 +138,7 @@ _GRID_FIELDS = {"line-mixture": "frac_bads", "opening-angle": "delta"}
 
 
 def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        d=args.d,
-        seed=args.seed,
-        t=args.t,
-        sigma=args.sigma,
-        frac_bads=args.frac_bads,
-        good_slope=args.good_slope,
-        bad_slope=args.bad_slope,
-        delta=args.delta,
-        alpha=args.alpha,
-    )
+    return GeneratorSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GeneratorSpec)})
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -242,17 +208,20 @@ def cmd_flow(args: argparse.Namespace) -> int:
     metrics_path = outdir / "metrics.jsonl"
     metrics_path.unlink(missing_ok=True)
 
+    cap = _exact_cap(args)
     current = X.coords.copy()
     for it in range(args.iterations):
         cx = PointCloud(current)
         cxn, yn = _maybe_normalize(cx, Y, args.normalize)
-        plan, _ = _plan_for_method(args.method, cxn, yn, args)
+        plan, _, _ = _timed_plan(args.method, cxn, yn, args)
         value = math.sqrt(plan_squared_cost(cx, Y, plan.pi) / plan.n)
         record = {"iter": it, "value": value}
-        if X.n <= _exact_cap(args):
-            record["exact_w2"] = exact_w2(cx, Y, _exact_cap(args))
+        snapshot = it % args.snapshot_every == 0
+        # The exact reference is solved where a snapshot is kept and at the end.
+        if X.n <= cap and (snapshot or it == args.iterations - 1):
+            record["exact_w2"] = exact_w2(cx, Y, cap)
         _emit(record, str(metrics_path))
-        if it % args.snapshot_every == 0:
+        if snapshot:
             save_point_cloud(cx, outdir / f"snapshot_{it:05d}.pcf")
         current = (1.0 - args.step) * current + args.step * Y.coords[plan.pi]
 
@@ -274,9 +243,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_plateau(args: argparse.Namespace) -> int:
-    if args.family not in _GRID_FIELDS:
-        print("plateau supports --family line-mixture or opening-angle", file=sys.stderr)
-        return EXIT_USAGE
     diag_depth = args.diag_depth or max(1, math.ceil(math.log2(max(args.n, 2))) - 3)
     cap = _exact_cap(args)
     records = []
@@ -308,11 +274,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
                         "sigma": args.sigma,
                         "bad_slope": args.bad_slope,
                         "diag_depth": diag_depth,
-                        "alpha_H": report.alpha_H,
-                        "gamma_bar": report.gamma_bar,
-                        "nn_term": report.nn_term,
-                        "lower_bound": report.lower_bound,
-                        "rrm_sq": report.rrm_sq,
+                        **dataclasses.asdict(report),
                         "params": params,
                         "timing": timing,
                     }
@@ -411,100 +373,99 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
-def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
-    """Matcher flags; a ``table`` command takes neither --method nor --normalize."""
+def _add_io(p: argparse.ArgumentParser, table: bool, out_required: bool = False) -> None:
+    """--seed, --out and --format: a table format for experiment tables, else a cloud format."""
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="64-bit seed for all randomized steps")
-    p.add_argument("--out", default=None, help="append records here instead of stdout")
+    p.add_argument("--out", required=out_required,
+                   help="output file" if out_required else "append records here instead of stdout")
     if table:
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                        help="experiment table format")
     else:
         p.add_argument("--format", choices=("csv", "pcf"), default=None,
                        help="cloud file format (default: infer from extension)")
-        p.add_argument("--method", choices=METHODS, default="srrm")
-        p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
-    p.add_argument("--K", type=_int_at_least(1), default=8, help="merge runs")
-    p.add_argument("--R", type=_int_at_least(0), default=10, help="screening rounds")
-    p.add_argument("--anchors", type=_int_at_least(0), default=5,
+
+
+def _add_matcher_params(p: argparse.ArgumentParser) -> None:
+    """Merge and screening flags, defaulting to :class:`SrrmConfig`'s fields."""
+    p.add_argument("--K", type=_int_at_least(1), default=SrrmConfig.merge_runs, help="merge runs")
+    p.add_argument("--R", type=_int_at_least(0), default=SrrmConfig.rounds, help="screening rounds")
+    p.add_argument("--anchors", type=_int_at_least(0), default=SrrmConfig.anchors_per_point,
                    help="anchors per unresolved point")
     p.add_argument("--cap", type=_int_at_least(0), default=None,
-                   help="exact-assignment size cap (default 1024 for exact, 4096 for the "
-                        "screening residual)")
+                   help=f"exact-assignment size cap (default {EXACT_CAP} for exact, "
+                        f"{SrrmConfig.hungarian_cap} for the screening residual)")
 
 
 def _add_generator_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, default="uniform-box")
-    p.add_argument("--n", type=_int_at_least(1), default=1024)
-    p.add_argument("--d", type=_int_at_least(1), default=2)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--frac-bads", dest="frac_bads", type=float, default=0.0)
-    p.add_argument("--good-slope", dest="good_slope", type=float, default=-1.0)
-    p.add_argument("--bad-slope", dest="bad_slope", type=float, default=100.0)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.0)
+    """One flag per :class:`GeneratorSpec` parameter, defaulting to its field."""
+    for field in dataclasses.fields(GeneratorSpec):
+        if field.name not in ("family", "seed"):
+            # The integer parameters, n and d, are sizes.
+            kind = _int_at_least(1) if isinstance(field.default, int) else float
+            p.add_argument("--" + field.name.replace("_", "-"), type=kind, default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rrmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, func, text in (
+        ("gen", cmd_gen, "write a synthetic cloud (or pair) to disk"),
+        ("distance", cmd_distance, "distance between two stored clouds"),
+        ("match", cmd_match, "write the matching permutation and cost sidecar"),
+        ("flow", cmd_flow, "iterate match-then-convex-step toward the target"),
+        ("plateau", cmd_plateau, "bias-floor table over a generator grid"),
+        ("converge", cmd_converge, "statistical convergence experiments"),
+    ):
+        # No abbreviations: a prefix of a longer flag (--method of --methods,
+        # --n of --n-list) is an unknown flag, not that flag.
+        parsers[name] = sub.add_parser(name, help=text, allow_abbrev=False)
+        parsers[name].set_defaults(func=func)
 
-    p = sub.add_parser("gen", help="write a synthetic cloud (or pair) to disk")
+    p = parsers["gen"]
+    p.add_argument("--family", choices=FAMILIES, default="uniform-box")
     _add_generator_params(p)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--format", choices=("csv", "pcf"), default=None)
-    p.add_argument("--out", required=True)
+    _add_io(p, table=False, out_required=True)
     p.add_argument("--out2", default=None, help="second output file for pair families")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("distance", help="distance between two stored clouds")
-    p.add_argument("fileX")
-    p.add_argument("fileY")
-    _add_common(p)
-    p.set_defaults(func=cmd_distance)
+    for name in ("distance", "match", "flow"):
+        p = parsers[name]
+        p.add_argument("fileX")
+        p.add_argument("fileY")
+        # match's --out names the permutation CSV.
+        _add_io(p, table=False, out_required=name == "match")
+        p.add_argument("--method", choices=METHODS, default="srrm")
+        p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
+        _add_matcher_params(p)
 
-    p = sub.add_parser("match", help="write the matching permutation and cost sidecar")
-    p.add_argument("fileX")
-    p.add_argument("fileY")
-    _add_common(p)
-    p.set_defaults(func=cmd_match)
-    # --out is required for match: it names the permutation CSV.
-
-    p = sub.add_parser("flow", help="iterate match-then-convex-step toward the target")
-    p.add_argument("fileX")
-    p.add_argument("fileY")
-    _add_common(p)
+    p = parsers["flow"]
     p.add_argument("--step", type=_step, default=0.15)
     p.add_argument("--iterations", type=_int_at_least(1), default=100)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=_int_at_least(1), default=10)
+    p.add_argument("--snapshot-every", type=_int_at_least(1), default=10)
     p.add_argument("--outdir", required=True)
-    p.set_defaults(func=cmd_flow)
 
-    # No abbreviations here, so that --method is an unknown flag, not --methods.
-    p = sub.add_parser("plateau", help="bias-floor table over a generator grid", allow_abbrev=False)
+    p = parsers["plateau"]
+    p.add_argument("--family", choices=tuple(_GRID_FIELDS), required=True)
     _add_generator_params(p)
-    _add_common(p, table=True)
+    _add_io(p, table=True)
+    _add_matcher_params(p)
     p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")
     p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
-    p.add_argument("--diag-depth", dest="diag_depth", type=_int_at_least(1, MAX_DEPTH),
-                   default=None)
-    p.set_defaults(func=cmd_plateau)
+    p.add_argument("--diag-depth", type=_int_at_least(1, MAX_DEPTH), default=None)
 
-    p = sub.add_parser("converge", help="statistical convergence experiments")
+    p = parsers["converge"]
     p.add_argument("--kind", choices=("anchored", "thresholds"), default="anchored")
     p.add_argument("--d", type=_int_at_least(1), default=1)
-    p.add_argument("--n-list", dest="n_list", type=_size_list, default=[256, 512, 1024])
+    p.add_argument("--n-list", type=_size_list, default=[256, 512, 1024])
     p.add_argument("--reps", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--H", type=_int_at_least(1, 40), default=3,
+    p.add_argument("--H", type=_int_at_least(1, MAX_POPULATION_DEPTH), default=3,
                    help="tree depth for the thresholds kind")
-    p.add_argument("--depth", type=_int_at_least(1, 40), default=40,
-                   help="address depth for the anchored kind")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.set_defaults(func=cmd_converge)
+    p.add_argument("--depth", type=_int_at_least(1, MAX_POPULATION_DEPTH),
+                   default=MAX_POPULATION_DEPTH, help="address depth for the anchored kind")
+    _add_io(p, table=True)
 
     return parser
 
@@ -512,13 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "match" and not args.out:
-        parser.error("match requires --out for the permutation file")
     if args.command in ("gen", "plateau"):
         # Built once here, so that a generator parameter out of range is a usage error.
         try:
             args.spec = _spec_from_args(args)
-            if args.command == "plateau" and args.family in _GRID_FIELDS:
+            if args.command == "plateau":
                 field = _GRID_FIELDS[args.family]
                 args.grid_specs = [dataclasses.replace(args.spec, **{field: g}) for g in args.grid]
         except ValueError as exc:

@@ -43,6 +43,10 @@ _TAG_THRESHOLDS = 5
 #: Digit-walk truncation; contributions beyond this depth are below float64 noise.
 _WALK_STEPS = 56
 
+#: Deepest address a UniformPopulation takes: its dyadic thresholds stay exact
+#: in float64, and packed addresses fit a uint64, up to this depth.
+MAX_POPULATION_DEPTH = 40
+
 
 # ---------------------------------------------------------------------------
 # Nearest-neighbor baseline and the proportion/severity decomposition
@@ -206,13 +210,13 @@ class UniformPopulation:
     """
 
     d: int
-    depth: int = 40
+    depth: int = MAX_POPULATION_DEPTH
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if not 1 <= self.depth <= 40:
-            raise ValueError(f"depth must be in [1, 40], got {self.depth}")
+        if not 1 <= self.depth <= MAX_POPULATION_DEPTH:
+            raise ValueError(f"depth must be in [1, {MAX_POPULATION_DEPTH}], got {self.depth}")
 
     def addresses(self, coords: np.ndarray) -> np.ndarray:
         """Packed analytic addresses (uint64, MSB-first) of in-box points."""
@@ -251,7 +255,8 @@ class UniformPopulation:
 
         The c digits of k that split along axis ``h % d`` (read MSB-first)
         form v, and the cell spans [v, v + 1] / 2^c on that axis, so its
-        midpoint is ``(2v + 1) / 2^(c + 1)``, exact in float64 for h <= 40.
+        midpoint is ``(2v + 1) / 2^(c + 1)``, exact in float64 for
+        h <= MAX_POPULATION_DEPTH.
         """
         v = c = 0
         for p in range(h % self.d, h, self.d):
@@ -342,7 +347,7 @@ def convergence_experiment(
     n_list: list[int],
     reps: int,
     seed: RngSeed,
-    depth: int = 40,
+    depth: int = MAX_POPULATION_DEPTH,
 ) -> ConvergenceResult:
     """Monte-Carlo decay of the anchored distance for uniform samples.
 

@@ -41,7 +41,7 @@ class GeneratorSpec:
     """
 
     family: str
-    n: int
+    n: int = 1024
     d: int = 2
     seed: RngSeed = 0
     t: float = 0.0

@@ -60,6 +60,9 @@ _OVERLAP_MIN_N = 2**15
 _WARM_PASSES = 30
 _WARM_EPS = 0.02
 
+#: Default size cap of exact_w2, and of the CLI's exact method.
+EXACT_CAP = 1024
+
 
 @dataclass(frozen=True)
 class RunVariant:
@@ -150,11 +153,6 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
     pi = np.empty(X.n, dtype=np.int64)
     pi[order_x] = order_y
     return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
-
-
-def rrm_distance(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) -> float:
-    """Root-mean-square cost of :func:`rrm_plan`."""
-    return rrm_plan(X, Y, variant).rms
 
 
 def _cycle_labels(tau: np.ndarray) -> np.ndarray:
@@ -329,7 +327,7 @@ def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
     return Plan(pi=pi, squared_cost_sum=float(_pair_costs(X.coords, Y.coords, pi).sum()))
 
 
-def exact_w2(X: PointCloud, Y: PointCloud, cap: int = 1024) -> float:
+def exact_w2(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds.
 
     The root-mean-square cost of :func:`exact_plan`, solved on the

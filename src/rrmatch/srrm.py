@@ -138,7 +138,7 @@ def finalize_hungarian(
     X: PointCloud,
     Y: PointCloud,
     partial: np.ndarray,
-    cap: int = 4096,
+    cap: int = SrrmConfig.hungarian_cap,
 ) -> Plan:
     """Complete a partial assignment into a plan by an exact residual assignment.
 

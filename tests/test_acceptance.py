@@ -23,7 +23,6 @@ from rrmatch.matching import (
     exact_w2,
     hungarian,
     merged_rrm,
-    rrm_distance,
     rrm_plan,
 )
 from rrmatch.srrm import SrrmConfig, sample_near, srrm_match
@@ -55,7 +54,7 @@ def test_upper_bound_chain():
             X, Y, SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=8, seed=seed)
         ).value
         m = merged_rrm(X, Y, 8, seed=seed).rms
-        r = rrm_distance(X, Y)
+        r = rrm_plan(X, Y).rms
         worst_gap = max(worst_gap, e - s, s - m, m - r)
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-9 and elapsed < 30.0
@@ -74,13 +73,13 @@ def test_metric_axioms():
         X = PointCloud(rng.random((n, d)))
         Y = PointCloud(rng.random((n, d)))
         Z = PointCloud(rng.random((n, d)))
-        dxy, dyx = rrm_distance(X, Y), rrm_distance(Y, X)
+        dxy, dyx = rrm_plan(X, Y).rms, rrm_plan(Y, X).rms
         worst = max(
             worst,
             -min(dxy, dyx),                                  # nonnegativity
-            rrm_distance(X, X),                               # identity
+            rrm_plan(X, X).rms,                               # identity
             abs(dxy - dyx),                                   # symmetry
-            rrm_distance(X, Z) - dxy - rrm_distance(Y, Z),    # triangle
+            rrm_plan(X, Z).rms - dxy - rrm_plan(Y, Z).rms,    # triangle
         )
     ok = worst <= 1e-9
     _report("metric axioms (100 random triples)", ok, f"worst violation {worst:.2e}")
@@ -93,7 +92,7 @@ def test_one_dim_exactness():
         n = int(rng.integers(2, 257))
         X = PointCloud(rng.random((n, 1)))
         Y = PointCloud(rng.random((n, 1)))
-        worst = max(worst, abs(rrm_distance(X, Y) - exact_w2(X, Y)))
+        worst = max(worst, abs(rrm_plan(X, Y).rms - exact_w2(X, Y)))
     ok = worst <= 1e-12
     _report("1-D exactness (rrm == exact, 100 instances)", ok, f"worst |diff| {worst:.2e}")
 
@@ -136,7 +135,7 @@ def _plateau_sq(frac: float, bad_slope: float, seed: int, n: int = 4096) -> floa
     X, Y = gen(
         GeneratorSpec(family="line-mixture", n=n, seed=seed, frac_bads=frac, bad_slope=bad_slope)
     )
-    value = rrm_distance(X, Y)
+    value = rrm_plan(X, Y).rms
     return value * value
 
 
@@ -178,7 +177,7 @@ def test_last_mile_recovery():
         e = exact_w2(X, Y)
         cfg = SrrmConfig(rounds=10, anchors_per_point=5, merge_runs=10, seed=seed)
         srrm_ratios.append(srrm_match(X, Y, cfg).value / e)
-        single_ratios.append(rrm_distance(X, Y) / e)
+        single_ratios.append(rrm_plan(X, Y).rms / e)
     # The perturbation range endpoints get lighter coverage.
     for alpha in (0.001, 0.0015):
         for seed in range(5):

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import re
 from pathlib import Path
@@ -8,9 +9,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from rrmatch import matching
-from rrmatch.cli import build_parser, main
+from rrmatch.cli import _exact_cap, _spec_from_args, build_parser, main
 from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_point_cloud
+from rrmatch.diagnostics import UniformPopulation, convergence_experiment
+from rrmatch.generators import GeneratorSpec
 from rrmatch.matching import exact_w2, hungarian, squared_distance_matrix
+from rrmatch.srrm import SrrmConfig
 
 
 def run(*argv):
@@ -152,6 +156,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--n", 256),
+        ("flow", "{x}", "{y}", "--iter", 2, "--outdir", "{o}"),
+    ])
+    def test_abbreviated_flag_exits_2(self, pair_files, tmp_path, capsys, argv):
+        x, y = pair_files
+        with pytest.raises(SystemExit) as exc:
+            run(*(str(a).format(x=x, y=y, o=tmp_path / "o") for a in argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv, field", [
         (("gen", "--family", "gaussian-pair", "--t", 2, "--out", "a.pcf", "--out2", "b.pcf"), "t"),
         (("gen", "--sigma", 0, "--out", "a.pcf"), "sigma"),
@@ -248,6 +264,22 @@ class TestFlow:
         assert records[-1]["exact_w2"] < 0.05 * records[0]["exact_w2"]
         assert all(np.isfinite(r["value"]) and r["value"] >= 0 for r in records)
 
+    def test_exact_reference_on_snapshots_and_last(self, pair_files, tmp_path, monkeypatch):
+        solves = []
+
+        def counting(cost):
+            solves.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+        x, y = pair_files
+        outdir = tmp_path / "flow"
+        assert run("flow", x, y, "--method", "rrm", "--iterations", 5, "--snapshot-every", 2,
+                   "--outdir", outdir) == 0
+        assert len(solves) == 3
+        records = read_jsonl(outdir / "metrics.jsonl")
+        assert [r["iter"] for r in records if "exact_w2" in r] == [0, 2, 4]
+
 
 class TestPlateauCommand:
     def test_emits_reports_per_grid_point(self, tmp_path):
@@ -287,7 +319,10 @@ class TestPlateauCommand:
         assert read_jsonl(out)[0]["exact_w2"] is None
 
     def test_rejects_other_families(self, tmp_path, capsys):
-        assert run("plateau", "--family", "uniform-box", "--grid", "0", "--n", 16) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("plateau", "--family", "uniform-box", "--grid", "0", "--n", 16)
+        assert exc.value.code == 2
+        assert "argument --family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--normalize", "none")])
     def test_rejects_flags_it_never_read(self, tmp_path, capsys, flag, value):
@@ -344,6 +379,27 @@ class TestCsvTables:
                    "--methods", "rrm", "--format", "csv", "--out", out) == 0
         header = out.read_text().splitlines()[0]
         assert "rrm_sq" in header and "alpha_H" in header
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    cfg = SrrmConfig()
+    for argv in (["distance", "x", "y"], ["match", "x", "y", "--out", "p"],
+                 ["flow", "x", "y", "--outdir", "o"],
+                 ["plateau", "--family", "line-mixture", "--grid", "0"]):
+        args = parser.parse_args(argv)
+        assert (args.K, args.R, args.anchors, args.seed) == (
+            cfg.merge_runs, cfg.rounds, cfg.anchors_per_point, cfg.seed)
+        assert args.cap is None
+        assert _exact_cap(args) == inspect.signature(exact_w2).parameters["cap"].default
+    for argv in (["gen", "--out", "o"], ["plateau", "--family", "opening-angle", "--grid", "0"]):
+        args = parser.parse_args(argv)
+        assert _spec_from_args(args) == GeneratorSpec(args.family)
+    args = parser.parse_args(["converge"])
+    assert args.depth == UniformPopulation(d=args.d).depth
+    assert args.depth == inspect.signature(convergence_experiment).parameters["depth"].default
+    with pytest.raises(SystemExit):
+        parser.parse_args(["converge", "--H", str(args.depth + 1)])
 
 
 def test_readme_lists_every_subcommand():

@@ -16,7 +16,7 @@ from rrmatch.diagnostics import (
     threshold_consistency_experiment,
 )
 from rrmatch.generators import GeneratorSpec, gen
-from rrmatch.matching import rrm_distance, rrm_plan
+from rrmatch.matching import rrm_plan
 
 
 class TestNnBaseline:
@@ -280,7 +280,7 @@ class TestTwoSampleStability:
             def value(m):
                 X = PointCloud(rng.random((m, 2)))
                 Y = PointCloud(rng.random((m, 2)) + 0.1)
-                return rrm_distance(X, Y)
+                return rrm_plan(X, Y).rms
 
             return abs(value(n) - value(2 * n))
 

@@ -30,7 +30,6 @@ from rrmatch.matching import (
     hungarian,
     merge_pair,
     merged_rrm,
-    rrm_distance,
     rrm_plan,
     squared_distance_matrix,
 )
@@ -61,13 +60,13 @@ class TestRrmPlan:
     def test_one_dim_sorted_matching(self):
         X = PointCloud(np.array([[0.0], [1.0]]))
         Y = PointCloud(np.array([[0.1], [0.9]]))
-        assert rrm_distance(X, Y) == pytest.approx(0.1, abs=1e-15)
+        assert rrm_plan(X, Y).rms == pytest.approx(0.1, abs=1e-15)
 
     def test_upper_bounds_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             X, Y = _random_pair(rng, 32, 3)
-            assert rrm_distance(X, Y) >= exact_w2(X, Y) - 1e-12
+            assert rrm_plan(X, Y).rms >= exact_w2(X, Y) - 1e-12
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(2)
@@ -180,20 +179,20 @@ class TestMetricAxioms:
     def test_identity(self):
         rng = np.random.default_rng(4)
         X = PointCloud(rng.random((21, 2)))
-        assert rrm_distance(X, X) == 0.0
+        assert rrm_plan(X, X).rms == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             X, Y = _random_pair(rng, 17, 2)
-            assert rrm_distance(X, Y) == pytest.approx(rrm_distance(Y, X), abs=1e-12)
+            assert rrm_plan(X, Y).rms == pytest.approx(rrm_plan(Y, X).rms, abs=1e-12)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             X, Y = _random_pair(rng, 16, 3)
             Z = PointCloud(rng.random((16, 3)))
-            assert rrm_distance(X, Z) <= rrm_distance(X, Y) + rrm_distance(Y, Z) + 1e-9
+            assert rrm_plan(X, Z).rms <= rrm_plan(X, Y).rms + rrm_plan(Y, Z).rms + 1e-9
 
 
 def cycle_labels_reference(tau):
@@ -517,7 +516,7 @@ class TestExactW2:
             X, Y = _random_pair(rng, 24, 3)
             e = exact_w2(X, Y)
             m = merged_rrm(X, Y, 8, seed=trial).rms
-            r = rrm_distance(X, Y)
+            r = rrm_plan(X, Y).rms
             assert e <= m + 1e-12 <= r + 1e-9
 
     @settings(max_examples=60, deadline=None)

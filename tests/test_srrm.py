@@ -16,7 +16,7 @@ from rrmatch.core import (
     plan_squared_cost,
 )
 from rrmatch.generators import GeneratorSpec, gen
-from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_distance, squared_distance_matrix
+from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_plan, squared_distance_matrix
 from rrmatch.srrm import (
     _TAG_ROUND,
     UNASSIGNED,
@@ -233,7 +233,7 @@ class TestSrrmMatch:
     def test_recovers_exact_on_straddling_rings(self):
         X, Y = straddling_rings()
         e = exact_w2(X, Y)
-        assert rrm_distance(X, Y) > 2 * e  # the single run is fooled by the splits
+        assert rrm_plan(X, Y).rms > 2 * e  # the single run is fooled by the splits
         for seed in range(3):
             result = srrm_match(
                 X, Y, SrrmConfig(rounds=10, anchors_per_point=5, merge_runs=10, seed=seed)
@@ -338,6 +338,6 @@ class TestSrrmMatch:
             e = exact_w2(X, Y)
             cfg = SrrmConfig(rounds=6, anchors_per_point=3, merge_runs=8, seed=seed)
             ratios_srrm.append(srrm_match(X, Y, cfg).value / e)
-            ratios_single.append(rrm_distance(X, Y) / e)
+            ratios_single.append(rrm_plan(X, Y).rms / e)
         assert np.median(ratios_srrm) <= 1.1
         assert np.median(ratios_single) >= 2.0
