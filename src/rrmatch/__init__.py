@@ -44,7 +44,6 @@ from rrmatch.matching import (
 )
 from rrmatch.partition import (
     build_tree,
-    common_prefix_depth,
     split_thresholds,
     tree_curve_order,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "anchored_rrm_uniform",
     "build_tree",
     "calibrated_depth",
-    "common_prefix_depth",
     "convergence_experiment",
     "derive_rng",
     "derive_seed",

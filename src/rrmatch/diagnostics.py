@@ -35,7 +35,7 @@ from rrmatch.core import (
     _pair_costs,
     derive_rng,
 )
-from rrmatch.partition import MAX_DEPTH, build_tree, common_prefix_depth, split_thresholds
+from rrmatch.partition import MAX_DEPTH, _addresses, build_tree, split_thresholds
 
 _TAG_CONVERGENCE = 4
 _TAG_THRESHOLDS = 5
@@ -123,10 +123,11 @@ def _premature_core(
     if params.d != X.d:
         raise SizeMismatchError(f"LastMileParams.d is {params.d} but the clouds have dimension {X.d}")
     x, y, delta_sq, jnn = _centred_nn(X, Y)
-    _, codes = build_tree(np.vstack([x, y]), params.depth)
-    share = common_prefix_depth(codes[: x.shape[0]], codes[x.shape[0] :][jnn], params.depth)
+    codes = _addresses(build_tree(np.vstack([x, y]), params.depth), params.depth)
     ell = calibrated_depth(np.sqrt(delta_sq), params)
-    bad = np.flatnonzero(share < ell).astype(np.int64)
+    # Separated before depth ell: the addresses differ in their top ell digits.
+    split = (codes[: X.n] ^ codes[X.n :][jnn]) >> (params.depth - ell).astype(np.uint64)
+    bad = np.flatnonzero(split).astype(np.int64)
     return x, y, delta_sq, bad
 
 
@@ -135,9 +136,11 @@ def premature_set(
 ) -> tuple[np.ndarray, float]:
     """Indices whose NN partners are separated earlier than geometry warrants.
 
-    Both clouds are translated so their barycenters coincide and addressed in
-    a single tree built on the union.  Returns the bad index set and its
-    fraction of |X|.
+    Both clouds are translated so their barycenters coincide and ordered by a
+    single :func:`build_tree` on the union, whose order gives each point its
+    packed address.  Point i is bad when its address and its NN partner's
+    differ within the first ``calibrated_depth`` digits of their distance.
+    Returns the bad index set and its fraction of |X|.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
     *_, bad = _premature_core(X, Y, params)

@@ -5,8 +5,10 @@ a stable sort by that coordinate, the first ceil(|S|/2) points go left (digit
 0) and the rest go right (digit 1).  Each point accumulates one binary digit
 per depth; the digits, read most-significant first, form the point's address
 (its packed code), and sorting by address yields the tree-curve order shared
-by every operation downstream.  :func:`build_tree` returns the codes together
-with that order; :func:`split_thresholds` reads the split values off the codes.
+by every operation downstream.  :func:`build_tree` returns only that order;
+the addresses are read off it by ``_addresses``, and only where they are used:
+:func:`split_thresholds` reads the split values off them, and the last-mile
+diagnostics compare their prefixes.
 
 Because every split is at the rank median, the cell layout (the sizes and
 paths of the cells at every level, and which sorted positions each holds)
@@ -101,8 +103,8 @@ def _position_codes(n: int) -> np.ndarray:
     return table
 
 
-def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partition the points to the given depth: their order and their addresses.
+def build_tree(X: PointCloud | np.ndarray, depth: int) -> np.ndarray:
+    """Partition the points to the given depth and return them in address order.
 
     Ties on the split coordinate break by original input index (stable sort),
     so the construction is deterministic.  Cells that reach a single point
@@ -127,14 +129,12 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
-    Returns ``(order, codes)``, both freshly allocated.  ``order`` (int64)
-    lists the points leaf by leaf in address order, and within a leaf by
-    stable rank along the last split axis ``(depth - 1) % d``, so
-    ``codes[order]`` is nondecreasing; once every leaf is a singleton
-    (``depth >= full_depth(n)``) it is the tree-curve order.
-    ``codes`` (uint64) holds each point's packed address, digit s_1 in the
-    most significant of the ``depth`` used bits: the position code shifted to
-    ``depth`` digits.
+    Returns ``order`` (int64, freshly allocated): the points leaf by leaf in
+    address order, and within a leaf by stable rank along the last split axis
+    ``(depth - 1) % d``; once every leaf is a singleton
+    (``depth >= full_depth(n)``) it is the tree-curve order.  The addresses
+    are ``codes = _addresses(order, depth)``, and ``codes[order]`` is
+    nondecreasing.
     """
     X = _as_cloud(X)
     if depth < 1:
@@ -175,16 +175,26 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> tuple[np.ndarray, np.n
             key &= mask
             ranks = key
 
-    order = last[ranks]
+    return last[ranks]
+
+
+def _addresses(order: np.ndarray, depth: int) -> np.ndarray:
+    """Packed address (uint64) of each point of a :func:`build_tree` order.
+
+    Point ``order[i]`` sits at position i, so its address is the position code
+    ``_position_codes(n)[i]`` cut to its top ``depth`` digits: digit s_1 in the
+    most significant of the ``depth`` used bits, and 0 past a singleton leaf.
+    """
+    n = order.size
     codes = np.empty(n, dtype=np.uint64)
-    codes[order] = pos_code
+    codes[order] = _position_codes(n)
     # From the key layout to the address: the top ``depth`` digits of the code.
-    shift = depth - full - bits
+    shift = depth - full_depth(n) - _rank_bits(n)
     if shift < 0:
         codes >>= np.uint64(-shift)
     else:
         codes <<= np.uint64(shift)
-    return order, codes
+    return codes
 
 
 def split_thresholds(X: PointCloud | np.ndarray, depth: int) -> list[tuple[int, int, float]]:
@@ -192,11 +202,11 @@ def split_thresholds(X: PointCloud | np.ndarray, depth: int) -> list[tuple[int, 
 
     Cell k at depth h is split when it holds at least two points; m is the
     coordinate, along axis ``h % d``, of the last point of its left child 2k
-    in stable order.  Computed from the addresses of one :func:`build_tree`
-    call, with one stable sort per level.
+    in stable order.  Computed from the addresses (``_addresses``) of one
+    :func:`build_tree` order, with one stable sort per level.
     """
     X = _as_cloud(X)
-    _, codes = build_tree(X, depth)
+    codes = _addresses(build_tree(X, depth), depth)
     out = []
     for h in range(depth):
         coord = X.coords[:, h % X.d]
@@ -224,26 +234,5 @@ def tree_curve_order(X: PointCloud | np.ndarray) -> np.ndarray:
     a stable ascending coordinate sort.
     """
     X = _as_cloud(X)
-    order, _ = build_tree(X, full_depth(X.n))
-    return order
+    return build_tree(X, full_depth(X.n))
 
-
-def _bit_length_u64(x: np.ndarray) -> np.ndarray:
-    """Vectorized bit length of uint64 values."""
-    x = x.astype(np.uint64, copy=True)
-    out = np.zeros(x.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = x >= np.uint64(1 << shift)
-        out[big] += shift
-        x = np.where(big, x >> np.uint64(shift), x)
-    out += (x > 0).astype(np.int64)
-    return out
-
-
-def common_prefix_depth(a: int | np.ndarray, b: int | np.ndarray, depth: int):
-    """Largest h <= depth with equal h-digit prefixes; 0 if first digits differ.
-
-    Accepts scalars or arrays of packed addresses from the same tree build.
-    """
-    diff = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
-    return depth - _bit_length_u64(diff)

@@ -7,6 +7,7 @@ from rrmatch.core import Plan, PointCloud, SizeMismatchError, derive_rng
 from rrmatch.diagnostics import (
     LastMileParams,
     UniformPopulation,
+    _centred_nn,
     anchored_rrm_uniform,
     calibrated_depth,
     convergence_experiment,
@@ -17,6 +18,33 @@ from rrmatch.diagnostics import (
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import rrm_plan
+from rrmatch.partition import _addresses, build_tree
+
+
+def _premature_pairs():
+    """Cloud pairs with unequal sizes, duplicate points, one identical pair and one far outlier."""
+    rng = np.random.default_rng(21)
+    x = rng.random((40, 2))
+    yield x, x + rng.normal(0.0, 0.01, x.shape)
+    yield rng.random((23, 3)), rng.random((57, 3))
+    dup = x[rng.integers(0, 10, 30)]
+    yield dup, np.vstack([dup[:12], rng.random((9, 2))])
+    yield dup, dup.copy()  # every NN distance is 0
+    yield np.vstack([x[:20], [[40.0, 40.0]]]), x[20:]
+
+
+def _premature_by_digit_loop(X, Y, depth):
+    """Bad set from the equal leading digits of each NN pair's addresses, one pair at a time."""
+    params = LastMileParams(depth=depth, d=X.d)
+    x, y, delta_sq, jnn = _centred_nn(X, Y)
+    codes = _addresses(build_tree(np.vstack([x, y]), depth), depth)
+    ell = calibrated_depth(np.sqrt(delta_sq), params)
+    bad = []
+    for i in range(X.n):
+        shared = depth - (int(codes[i]) ^ int(codes[X.n + jnn[i]])).bit_length()
+        if shared < ell[i]:
+            bad.append(i)
+    return np.array(bad, dtype=np.int64), ell
 
 
 class TestNnBaseline:
@@ -81,6 +109,19 @@ class TestPrematureSet:
         depth = max(1, math.ceil(math.log2(4096)) - 3)
         _, alpha = premature_set(X, Y, LastMileParams(depth=depth, d=2))
         assert alpha > 0.5
+
+    def test_matches_per_pair_digit_count(self):
+        ells = set()
+        for depth in (1, 7, 63):
+            for x, y in _premature_pairs():
+                X, Y = PointCloud(x), PointCloud(y)
+                want, ell = _premature_by_digit_loop(X, Y, depth)
+                bad, alpha = premature_set(X, Y, LastMileParams(depth=depth, d=X.d))
+                np.testing.assert_array_equal(bad, want)
+                assert alpha == want.size / X.n
+                ells.update((depth, int(v)) for v in ell)
+        # ell = 0 (no digit compared), ell = depth (every digit), and a shift of 63.
+        assert {(1, 0), (1, 1), (7, 0), (7, 7), (63, 0), (63, 63)} <= ells
 
     def test_params_dimension_must_match_the_clouds(self):
         rng = np.random.default_rng(5)

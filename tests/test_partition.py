@@ -11,11 +11,12 @@ from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import RunVariant, merged_rrm, rrm_plan
 from rrmatch.partition import (
+    MAX_DEPTH,
+    _addresses,
     _position_codes,
     _rank_bits,
     _stable_order,
     build_tree,
-    common_prefix_depth,
     full_depth,
     split_thresholds,
     tree_curve_order,
@@ -83,7 +84,8 @@ def _assert_order_of(order, codes, depth):
 
 def _assert_matches_reference(coords, depth):
     X = PointCloud(coords)
-    order, codes = build_tree(X, depth)
+    order = build_tree(X, depth)
+    codes = _addresses(order, depth)
     ref_codes, ref_thresholds = lexsort_build_tree(coords, depth)
     _assert_same_bytes(codes, ref_codes)
     _assert_same_thresholds(split_thresholds(X, depth), ref_thresholds)
@@ -140,7 +142,8 @@ def tree_inputs(draw):
 class TestBuildTree:
     def test_one_dimensional_addresses(self):
         X = PointCloud(np.array([[0.1], [0.9], [0.4], [0.6]]))
-        order, codes = build_tree(X, 2)
+        order = build_tree(X, 2)
+        codes = _addresses(order, 2)
         assert _codes_as_strings(codes, 2) == ["00", "11", "01", "10"]
         # Tree-curve order must be ascending coordinate order.
         np.testing.assert_array_equal(order, [0, 2, 3, 1])
@@ -148,14 +151,15 @@ class TestBuildTree:
 
     def test_single_point(self):
         X = PointCloud(np.array([[0.3, 0.7]]))
-        order, codes = build_tree(X, 3)
+        order = build_tree(X, 3)
+        codes = _addresses(order, 3)
         assert codes[0] == 0
         _assert_same_bytes(order, np.zeros(1, dtype=np.int64))
         assert split_thresholds(X, 3) == []
 
     def test_four_points_forced_counts(self):
         rng = np.random.default_rng(0)
-        _, codes = build_tree(PointCloud(rng.random((4, 2))), 2)
+        codes = _addresses(build_tree(PointCloud(rng.random((4, 2))), 2), 2)
         assert _cell_counts(codes, 2, 0)[1] == [4]
         assert _cell_counts(codes, 2, 1)[1] == [2, 2]
         assert _cell_counts(codes, 2, 2)[1] == [1, 1, 1, 1]
@@ -164,7 +168,7 @@ class TestBuildTree:
         rng = np.random.default_rng(1)
         for n in (2, 3, 7, 33, 100, 257):
             depth = full_depth(n)
-            _, codes = build_tree(PointCloud(rng.random((n, 3))), depth)
+            codes = _addresses(build_tree(PointCloud(rng.random((n, 3))), depth), depth)
             for h in range(depth):
                 below = dict(zip(*_cell_counts(codes, depth, h + 1)))
                 for k, c in zip(*_cell_counts(codes, depth, h)):
@@ -177,13 +181,13 @@ class TestBuildTree:
     def test_depth_sufficiency_singleton_leaves(self, n):
         rng = np.random.default_rng(n)
         depth = full_depth(n)
-        _, codes = build_tree(PointCloud(rng.random((n, 2))), depth)
+        codes = _addresses(build_tree(PointCloud(rng.random((n, 2))), depth), depth)
         assert max(_cell_counts(codes, depth, depth)[1]) == 1
 
     def test_leaf_count_bound_shallow(self):
         rng = np.random.default_rng(2)
         n, depth = 100, 3
-        _, codes = build_tree(PointCloud(rng.random((n, 2))), depth)
+        codes = _addresses(build_tree(PointCloud(rng.random((n, 2))), depth), depth)
         bound = max(1, -(-n // 2**depth))
         assert max(_cell_counts(codes, depth, depth)[1]) <= bound
 
@@ -197,16 +201,16 @@ class TestBuildTree:
     def test_determinism(self):
         rng = np.random.default_rng(4)
         coords = rng.random((200, 3))
-        o1, c1 = build_tree(PointCloud(coords), 8)
-        o2, c2 = build_tree(PointCloud(coords), 8)
+        o1 = build_tree(PointCloud(coords), 8)
+        o2 = build_tree(PointCloud(coords), 8)
         _assert_same_bytes(o1, o2)
-        _assert_same_bytes(c1, c2)
+        _assert_same_bytes(_addresses(o1, 8), _addresses(o2, 8))
         assert split_thresholds(PointCloud(coords), 8) == split_thresholds(PointCloud(coords), 8)
 
     def test_tie_break_by_input_index(self):
         # Duplicate coordinates: stable split sends the earlier index left.
         X = PointCloud(np.array([[0.5], [0.5]]))
-        _, codes = build_tree(X, 1)
+        codes = _addresses(build_tree(X, 1), 1)
         assert list(codes) == [0, 1]
 
     @settings(max_examples=200, deadline=None)
@@ -224,6 +228,16 @@ class TestBuildTree:
         # tie repair, and the singleton skip over the two levels past full depth.
         coords = _tied_coords("clipped", np.random.default_rng(n), n, 3)
         _assert_matches_reference(coords, full_depth(n) + 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 4097])
+    def test_addresses_nondecreasing_along_order(self, n):
+        coords = _tied_coords("clipped", np.random.default_rng(n), n, 2)
+        full = full_depth(n)
+        for depth in sorted({1, max(1, full - 2), full, full + 1, MAX_DEPTH}):
+            order = build_tree(coords, depth)
+            codes = _addresses(order, depth)
+            _assert_order_of(order, codes, depth)
+            assert codes.dtype == np.uint64 and int(codes.max()) < 2**depth
 
     def test_sort_key_packing_bound(self):
         assert _rank_bits(1) == 0
@@ -279,14 +293,15 @@ class TestPositionCodes:
     def test_build_returns_fresh_arrays(self):
         coords = np.random.default_rng(17).random((300, 2))
         for depth in (3, full_depth(300), full_depth(300) + 2):
-            order, codes = build_tree(coords, depth)
+            order = build_tree(coords, depth)
+            codes = _addresses(order, depth)
             want = order.tobytes(), codes.tobytes()
             for out in (order, codes):
                 assert out.flags.writeable
                 assert not np.shares_memory(out, _position_codes(300))
                 out[:] = 7
             again = build_tree(coords, depth)
-            assert (again[0].tobytes(), again[1].tobytes()) == want
+            assert (again.tobytes(), _addresses(again, depth).tobytes()) == want
 
 
 class TestThreadSafety:
@@ -381,32 +396,28 @@ class TestTreeCurveOrder:
         assert order.dtype == np.int64
         assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == digest
 
+    def test_copies_an_array_once_and_a_cloud_never(self, monkeypatch):
+        made = []
+        post_init = PointCloud.__post_init__
+
+        def counting(self):
+            made.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(PointCloud, "__post_init__", counting)
+        coords = np.random.default_rng(13).random((50, 2))
+        order = tree_curve_order(coords)
+        assert len(made) == 1
+        cloud = PointCloud(coords)
+        made.clear()
+        _assert_same_bytes(tree_curve_order(cloud), order)
+        assert made == []
+
     def test_start_axis_changes_order(self):
         # Starting the cycle at axis 1 is a column swap: rows before columns.
         coords = np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]])
         order = tree_curve_order(PointCloud(coords[:, ::-1]))
         np.testing.assert_array_equal(order, [0, 1, 2, 3])
-
-
-class TestCommonPrefixDepth:
-    def test_equal_addresses(self):
-        assert common_prefix_depth(0b101, 0b101, 3) == 3
-
-    def test_first_digit_differs(self):
-        assert common_prefix_depth(0b100, 0b010, 3) == 0
-
-    def test_partial_prefix(self):
-        assert common_prefix_depth(0b110, 0b111, 3) == 2
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        depth = 17
-        a = rng.integers(0, 2**depth, 200).astype(np.uint64)
-        b = rng.integers(0, 2**depth, 200).astype(np.uint64)
-        vec = common_prefix_depth(a, b, depth)
-        for i in range(200):
-            expected = depth - (int(a[i]) ^ int(b[i])).bit_length()
-            assert vec[i] == common_prefix_depth(int(a[i]), int(b[i]), depth) == expected
 
 
 class TestThresholds:
