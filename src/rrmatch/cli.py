@@ -454,7 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_number_list, required=True, help="comma-separated grid values")
     p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
-    p.add_argument("--diag-depth", type=_int_at_least(1, MAX_DEPTH), default=None)
+    p.add_argument("--diag-depth", type=_int_at_least(1, MAX_DEPTH), default=None,
+                   help="depth of the premature-split diagnostic (default ceil(log2 n) - 3); from the "
+                   "union's full depth ceil(log2 2n) on, coincident points get separate cells, so "
+                   "alpha_H reads 1.0 even for identical clouds")
 
     p = parsers["converge"]
     p.add_argument("--kind", choices=("anchored", "thresholds"), default="anchored")

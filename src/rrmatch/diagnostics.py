@@ -141,6 +141,12 @@ def premature_set(
     packed address.  Point i is bad when its address and its NN partner's
     differ within the first ``calibrated_depth`` digits of their distance.
     Returns the bad index set and its fraction of |X|.
+
+    Known defect: from ``params.depth >= full_depth(X.n + Y.n)`` on, rank
+    splits give every point of the union its own cell, so a pair at distance
+    0, whose calibrated depth is the full ``params.depth``, is always read as
+    separated: identical clouds of 64 uniform points read alpha 1.0 at depths
+    7, 8 and 12, where depth 6 reads 0.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
     *_, bad = _premature_core(X, Y, params)

@@ -10,6 +10,10 @@ the addresses are read off it by ``_addresses``, and only where they are used:
 :func:`split_thresholds` reads the split values off them, and the last-mile
 diagnostics compare their prefixes.
 
+The stable sorts are integer sorts: each coordinate maps to an int64 key that
+orders like it, with the point's index in its low bits, so one SIMD sort ranks
+every axis a build splits.
+
 Because every split is at the rank median, the cell layout (the sizes and
 paths of the cells at every level, and which sorted positions each holds)
 depends on the point count n alone, never on the coordinates.  It is built
@@ -46,23 +50,64 @@ def _rank_bits(n: int) -> int:
     return bits
 
 
-def _stable_order(c: np.ndarray, bits: int) -> np.ndarray:
-    """The permutation ``np.argsort(c, kind="stable")``, via an unstable sort.
+def _stable_orders(cols: np.ndarray, bits: int) -> np.ndarray:
+    """Row a is ``np.argsort(cols[:, a], kind="stable")``, for every column a.
 
-    ``bits`` is :func:`_rank_bits` of ``c.size``.  The unstable (SIMD) argsort
-    may scramble runs of equal values; if any exist, one integer sort of
-    ``(tie group << bits) | index`` puts each run back in index order.  Ties
-    are decided by ``==``, so ``-0.0`` and ``0.0`` share a group, as they do
-    under a stable sort.
+    ``cols`` is (n, k) and finite, with ``n <= 2**bits`` (:func:`_rank_bits`).
+    Each coordinate becomes an int64 key that sorts like it: adding ``0.0``
+    turns ``-0.0`` into ``0.0``, which it ties under a stable sort, and the
+    low 63 bits of a negative value are flipped, so that larger magnitudes
+    sort lower.  The low ``bits`` of each key are replaced by the point's
+    index, and one integer sort of the (k, n) block (numpy's SIMD sort; its
+    float argsort is not vectorised) leaves each row's order in the low bits,
+    except within runs (:func:`_restore_runs`), found from the sorted keys.
     """
-    order = c.argsort()
-    sorted_c = c[order]
-    tied = sorted_c[1:] == sorted_c[:-1]
-    if not tied.any():
-        return order
-    group = np.zeros(c.size, dtype=np.int64)
-    np.cumsum(~tied, out=group[1:])
-    return np.sort((group << bits) | order) & ((1 << bits) - 1)
+    n, k = cols.shape
+    mask = (1 << bits) - 1
+    block = np.empty((k, n))
+    np.add(cols.T, 0.0, out=block)
+    keys = block.view(np.int64)
+    keys &= ~mask
+    keys |= np.arange(n)
+    # One row-sized temporary for all the passes below.
+    scratch = np.empty(n, dtype=np.int64)
+    for row in keys:
+        # Flip the key bits of a negative value, leaving its index intact.
+        np.right_shift(row, 63, out=scratch)
+        scratch &= (2**63 - 1) & ~mask
+        row ^= scratch
+    keys.sort(axis=1)
+    # near[i]: sorted positions i and i + 1 agree above the index field.
+    # Compared unsigned, so that the sign change between a negative and a
+    # nonnegative neighbour never reads as a shared field.
+    near = np.empty(n - 1, dtype=bool)
+    for a, row in enumerate(keys):
+        np.bitwise_xor(row[1:], row[:-1], out=scratch[1:])
+        np.less(scratch[1:].view(np.uint64), 1 << bits, out=near)
+        if near.any():
+            _restore_runs(row, near, cols[:, a], mask)
+    keys &= mask
+    return keys
+
+
+def _restore_runs(row: np.ndarray, near: np.ndarray, col: np.ndarray, mask: int) -> None:
+    """Put the runs of one sorted key row of :func:`_stable_orders` in stable order, in place.
+
+    A run is a stretch of neighbours whose keys agree above the index field
+    (``near[i]`` joins positions i and i + 1): equal coordinates, or ones
+    closer than the dropped bits.  The sort left each run in index order,
+    which is right for a tie.  Runs rise in value from one to the next, so a
+    stable sort of all members by coordinate alone restores (coordinate,
+    index) order, and it runs only if some member's coordinate is below its
+    predecessor's.
+    """
+    member = np.zeros(row.size, dtype=bool)
+    member[1:] = near
+    member[:-1] |= near
+    pos = np.flatnonzero(member)
+    value = col[row[pos] & mask]
+    if (value[1:] < value[:-1]).any():
+        row[pos] = row[pos[np.argsort(value, kind="stable")]]
 
 
 @functools.lru_cache(maxsize=4)
@@ -110,22 +155,22 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> np.ndarray:
     so the construction is deterministic.  Cells that reach a single point
     stop splitting; the remaining digits of their addresses are 0.
 
-    Level h splits along axis ``h % d``.  Each axis the build uses is ranked
-    once (:func:`_stable_order`), and one table per axis a maps a point's rank
-    along a to its rank along ``(a + 1) % d``.  The loop keeps only each
-    point's rank along the current axis, points grouped by cell and cells in
-    path order.  Which cell a position belongs to depends on n alone: the
-    depth-h cell of position i is the top h digits of the cached full-depth
-    code ``_position_codes(n)[i]``, which the table stores already shifted
-    left by ``bits = (n-1).bit_length()``.  A level moves the ranks to its
-    axis and sorts one integer key per point: the table masked to its top h
-    digits, with the rank in the low ``bits`` (uint32 while
+    Level h splits along axis ``h % d``.  The axes the build uses are ranked
+    together by one integer sort (:func:`_stable_orders`), and one table per
+    axis a maps a point's rank along a to its rank along ``(a + 1) % d``.  The
+    loop keeps only each point's rank along the current axis, points grouped
+    by cell and cells in path order.  Which cell a position belongs to depends
+    on n alone: the depth-h cell of position i is the top h digits of the
+    cached full-depth code ``_position_codes(n)[i]``, which the table stores
+    already shifted left by ``bits = (n-1).bit_length()``.  A level moves the
+    ranks to its axis and sorts one integer key per point: the table masked to
+    its top h digits, with the rank in the low ``bits`` (uint32 while
     ``2 * bits <= 32``, else int64).  The masked code orders cells as their
     path does, and ranks are unique within a cell, so the sort groups points
     by cell in path order and by rank within each; the first ``ceil(size/2)``
     points of each sorted cell form its left child.  Level 0 (one cell) is
-    already in rank order, and from level ``full_depth(n)`` on every cell is
-    a singleton, so the sort is skipped.
+    already in rank order, and from level ``full_depth(n)`` on every cell is a
+    singleton, so the sort is skipped.
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.
 
@@ -150,23 +195,25 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> np.ndarray:
     pos_code = _position_codes(n)
     key_dtype = pos_code.dtype
     # by_rank[a][r] is the point of stable rank r along axis a.
-    by_rank = [_stable_order(coords[:, a], bits) for a in range(min(depth, d))]
+    by_rank = _stable_orders(coords[:, :min(depth, d)], bits)
     # moves[a][r] is the rank along axis (a + 1) % d of the point of rank r along axis a.
     moves = []
+    rank_b = np.empty(n, dtype=key_dtype)
     for a in range(min(depth - 1, d)):
-        rank_b = np.empty(n, dtype=key_dtype)
         rank_b[by_rank[(a + 1) % d]] = np.arange(n, dtype=key_dtype)
         moves.append(rank_b[by_rank[a]])
+    del rank_b
     # Only the last split axis's ranking is read again, by the final gather;
-    # dropping the others now lowers the peak.
-    last = by_rank[(depth - 1) % d]
+    # copying it frees the other rows now, which lowers the peak.
+    last = by_rank[(depth - 1) % d].copy()
     del by_rank
 
     # Per point, grouped by cell with cells in path order: its rank along the
-    # current axis.  Level 0 has one cell, already in rank order.
-    ranks = np.arange(n, dtype=key_dtype)
+    # current axis.  Level 0 has one cell, already in rank order, so level 1
+    # starts from moves[0] itself.
+    ranks = None
     for h in range(1, depth):
-        ranks = moves[(h - 1) % d].take(ranks)
+        ranks = moves[0] if h == 1 else moves[(h - 1) % d].take(ranks)
         if h < full:
             # Unique keys sort by (cell, coordinate, input index) in one integer sort.
             key = pos_code & (((1 << h) - 1) << (full - h + bits))
@@ -175,7 +222,9 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> np.ndarray:
             key &= mask
             ranks = key
 
-    return last[ranks]
+    # Freed before the final gather, where take copies uint32 ranks to intp.
+    del moves
+    return last if ranks is None else last.take(ranks)
 
 
 def _addresses(order: np.ndarray, depth: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from rrmatch.diagnostics import (
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import rrm_plan
-from rrmatch.partition import _addresses, build_tree
+from rrmatch.partition import _addresses, build_tree, full_depth
 
 
 def _premature_pairs():
@@ -94,6 +94,15 @@ class TestPrematureSet:
         X = PointCloud(np.random.default_rng(2).random((64, 2)))
         bad, alpha = premature_set(X, X, LastMileParams(depth=5, d=2))
         assert bad.size == 0 and alpha == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="known defect: at depths of at least full_depth of the "
+                       "union, rank splits separate coincident points, so identical clouds read alpha 1.0")
+    def test_identical_clouds_have_none_from_full_depth(self):
+        X = PointCloud(np.random.default_rng(2).random((64, 2)))
+        assert full_depth(2 * X.n) == 7
+        for depth in (7, 8, 12):
+            bad, alpha = premature_set(X, X, LastMileParams(depth=depth, d=2))
+            assert bad.size == 0 and alpha == 0.0, depth
 
     def test_pairs_straddling_first_split(self):
         # Both clouds share barycenter (0.5, 0.5); each point's NN sits a

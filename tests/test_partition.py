@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmatch import partition
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import RunVariant, merged_rrm, rrm_plan
@@ -15,7 +16,7 @@ from rrmatch.partition import (
     _addresses,
     _position_codes,
     _rank_bits,
-    _stable_order,
+    _stable_orders,
     build_tree,
     full_depth,
     split_thresholds,
@@ -346,7 +347,21 @@ class TestThreadSafety:
         assert [p.pi.tobytes() for p in threaded] == serial
 
 
-class TestStableOrder:
+def _ulp_steps(x, steps):
+    """Each x[i] moved by steps[i] representable doubles, one np.nextafter at a time."""
+    x = x.copy()
+    for s in range(1, int(np.abs(steps).max(initial=0)) + 1):
+        up, down = steps >= s, steps <= -s
+        x[up] = np.nextafter(x[up], np.inf)
+        x[down] = np.nextafter(x[down], -np.inf)
+    return x
+
+
+# Both signs, signed zeros, subnormals, and magnitudes near 1 and near 1e300.
+_NEAR_TIE_BASES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.3, -0.3, 1.0, -1.0, 1e300, -1e300]
+
+
+class TestStableOrders:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, -2.5, 1e-300]), min_size=1, max_size=60)
@@ -354,12 +369,53 @@ class TestStableOrder:
     )
     def test_matches_stable_argsort(self, values):
         c = np.array(values, dtype=np.float64)
-        _assert_same_bytes(_stable_order(c, _rank_bits(c.size)), np.argsort(c, kind="stable"))
+        _assert_same_bytes(_stable_orders(c[:, None], _rank_bits(c.size))[0], np.argsort(c, kind="stable"))
 
     @pytest.mark.parametrize("kind", ["clipped", "signed_zero", "constant"])
     def test_matches_stable_argsort_at_scale(self, kind):
-        c = _tied_coords(kind, np.random.default_rng(11), 6000, 1)[:, 0]
-        _assert_same_bytes(_stable_order(c, _rank_bits(c.size)), np.argsort(c, kind="stable"))
+        c = _tied_coords(kind, np.random.default_rng(11), 6000, 1)
+        _assert_same_bytes(_stable_orders(c, _rank_bits(c.shape[0]))[0], np.argsort(c[:, 0], kind="stable"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_match_stable_argsort_on_near_ties(self, data):
+        """Values a few ulps apart share the key bits kept above an index field of 0 to 20 bits."""
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        bits = data.draw(st.integers(min_value=_rank_bits(n), max_value=20))
+        picks = data.draw(st.lists(
+            st.tuples(st.sampled_from(_NEAR_TIE_BASES), st.integers(min_value=-8, max_value=8)),
+            min_size=n * k, max_size=n * k,
+        ))
+        base, steps = (np.array(v).reshape(n, k) for v in zip(*picks))
+        cols = _ulp_steps(base.astype(np.float64), steps)
+        orders = _stable_orders(cols, bits)
+        assert orders.shape == (k, n)
+        for a in range(k):
+            _assert_same_bytes(orders[a], np.argsort(cols[:, a], kind="stable"))
+
+    def test_mixed_signs_without_near_ties_skip_the_repair(self, monkeypatch):
+        """Keys of opposite sign differ in the top bit; compared as signed
+        integers, every sign change would read as a run to repair."""
+        cols = np.random.default_rng(3).normal(size=(2000, 3))
+        assert (cols < 0).any(axis=0).all() and (cols > 0).any(axis=0).all()
+
+        def no_repair(*args):
+            raise AssertionError("a run was repaired")
+
+        monkeypatch.setattr(partition, "_restore_runs", no_repair)
+        orders = _stable_orders(cols, _rank_bits(2000))
+        for a in range(3):
+            _assert_same_bytes(orders[a], np.argsort(cols[:, a], kind="stable"))
+
+    def test_matches_stable_argsort_at_2_pow_20(self, monkeypatch):
+        """With 20 bits dropped, neighbours that share the kept bits are certain at this size."""
+        c = np.random.default_rng(7).random((2**20, 1)) - 0.5
+        repaired = []
+        restore = partition._restore_runs
+        monkeypatch.setattr(partition, "_restore_runs", lambda *args: repaired.append(restore(*args)))
+        _assert_same_bytes(_stable_orders(c, _rank_bits(2**20))[0], np.argsort(c[:, 0], kind="stable"))
+        assert repaired
 
 
 class TestTreeCurveOrder:
