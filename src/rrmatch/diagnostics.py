@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from rrmatch.core import (
     Plan,
@@ -54,7 +53,12 @@ MAX_POPULATION_DEPTH = 40
 
 
 def _nn_partners(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor in y for each row of x: (squared distances, indices)."""
+    """Exact nearest neighbor in y for each row of x: (squared distances, indices).
+
+    ``scipy.spatial`` is imported here, at the first query, not with the module.
+    """
+    from scipy.spatial import cKDTree
+
     _, idx = cKDTree(y).query(x, k=1)
     idx = np.asarray(idx, dtype=np.int64)
     return _pair_costs(x, y, idx), idx

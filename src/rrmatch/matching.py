@@ -25,10 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
 
 from rrmatch.core import (
     CapExceededError,
@@ -249,6 +247,13 @@ def _reduced_costs(cost: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndar
     return work
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SciPy's ``linear_sum_assignment``, imported at the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def hungarian(cost: np.ndarray) -> Plan:
     """Exact minimum-cost complete assignment for a square nonnegative cost matrix.
 
@@ -270,6 +275,11 @@ def hungarian(cost: np.ndarray) -> Plan:
     row minima, bounds every assignment's from below, so it is returned
     without the warm start or the solve: ``exact_w2`` on identical clouds
     at n=1024 takes about 5 ms instead of 55 ms, most of it the distances.
+
+    ``scipy.optimize`` is imported at the first solve, through
+    :func:`linear_sum_assignment`, not with this module: the rrm and merged
+    paths never solve, and the import, which loads ``scipy.spatial`` too,
+    costs about 0.15 s and 16 MiB.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -299,8 +309,11 @@ def squared_distance_matrix(X: PointCloud | np.ndarray, Y: PointCloud | np.ndarr
 
     Coordinate arrays are used as given, without a cloud's copy and
     finiteness check: the solvers here pass arrays cut or centred from
-    validated clouds.
+    validated clouds.  ``scipy.spatial`` is imported at the first call, not
+    with this module, since the rrm and merged paths never build a matrix.
     """
+    from scipy.spatial.distance import cdist
+
     x = X.coords if isinstance(X, PointCloud) else X
     y = Y.coords if isinstance(Y, PointCloud) else Y
     d2 = cdist(x, y, "sqeuclidean")

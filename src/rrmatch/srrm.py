@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from rrmatch.core import (
     CapExceededError,
@@ -91,8 +90,11 @@ def sample_near(
     Anchor (i, j) = p_i + g * sigma_i with g an isotropic standard normal draw
     and sigma_i the distance from p_i to its nearest neighbor within P (0.01
     for a lone point).  Anchors are clamped to the unit box.  Returns a
-    (k * |P|, d) array; empty for k = 0.
+    (k * |P|, d) array; empty for k = 0.  The neighbour query's
+    ``scipy.spatial`` is imported at the first call, not with this module.
     """
+    from scipy.spatial import cKDTree
+
     P = _as_cloud(P)
     if k < 0:
         raise ValueError("k must be >= 0")

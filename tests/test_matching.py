@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,3 +627,48 @@ class TestRunVariant:
         np.testing.assert_array_equal(
             rrm_plan(X, Y).pi, rrm_plan(X, Y, RunVariant.identity(2)).pi
         )
+
+
+#: Runs in a fresh interpreter: imports the package and the CLI, makes one
+#: merged plan, then calls the entry point named by argv[1]; prints which of
+#: the watched SciPy modules were loaded after each step.
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+
+WATCHED = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")
+
+def loaded():
+    return sorted(m for m in WATCHED if m in sys.modules)
+
+steps = {}
+import rrmatch, rrmatch.cli
+steps["import"] = loaded()
+rng = np.random.default_rng(0)
+X, Y = rrmatch.PointCloud(rng.random((64, 2))), rrmatch.PointCloud(rng.random((64, 2)))
+rrmatch.merged_rrm(X, Y, 3, seed=0)
+steps["merged"] = loaded()
+getattr(rrmatch, sys.argv[1])(X, Y)
+steps["then"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestScipyImports:
+    """The rrm and merged paths load no assignment solver and no k-d tree."""
+
+    @pytest.mark.parametrize(
+        "entry, loads", [("exact_w2", "scipy.optimize"), ("srrm_match", "scipy.spatial")]
+    )
+    def test_loaded_at_first_use(self, entry, loads):
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, entry],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert steps["import"] == ["scipy.sparse.csgraph"]
+        assert steps["merged"] == ["scipy.sparse.csgraph"]
+        assert loads in steps["then"]
