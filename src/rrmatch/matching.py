@@ -209,30 +209,29 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     return merged
 
 
-def _reduced_costs(cost: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write ``cost - a·1ᵀ - 1·bᵀ`` into ``work``, with warm-start potentials a, b.
+def _warm_start(work: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Warm-start potentials (a, b) of the costs in ``work``, which this overwrites.
 
-    a starts as ``cost``'s row minima, which the caller passes in, and b as
-    the column minima of what is left.  The reduced matrix then holds an
-    exact zero in every row and column, so its kernel ``exp(-reduced / eps)``
-    holds an exact 1 in each, and a fixed number of Sinkhorn scaling passes
-    on that kernel never divides by zero.  ``eps`` is a fixed fraction of
-    the mean reduced cost, so the potentials scale with the costs and do not
-    depend on units.
+    a starts as the costs' row minima, which the caller passes in, and b as
+    the column minima of what is left.  The reduced matrix
+    ``cost - a·1ᵀ - 1·bᵀ`` then holds an exact zero in every row and column,
+    so its kernel ``exp(-reduced / eps)``, built in ``work``, holds an exact 1
+    in each, and a fixed number of Sinkhorn scaling passes on that kernel
+    never divides by zero.  ``eps`` is a fixed fraction of the mean reduced
+    cost, so the potentials scale with the costs and do not depend on units.
     ``eps * log`` of the scalings is folded into a and b, clipped to the
     reduced range so the potentials stay finite and on the cost's scale even
     if a scaling overflowed (none has on any matrix tried; they stayed within
     0.65 of that range).  A constant matrix (mean 0), or one whose mean
-    overflows, keeps the min-reductions alone.  The kernel reuses ``work``;
-    the reduced matrix is rebuilt from ``cost`` at the end.
+    overflows, keeps the min-reductions alone.
     """
-    np.subtract(cost, a[:, None], out=work)
+    work -= a[:, None]
     b = work.min(axis=0)
     work -= b
     with np.errstate(over="ignore"):
         eps = _WARM_EPS * float(work.mean())
     if not 0.0 < eps < math.inf:
-        return work
+        return a, b
     hi = float(work.max())
     np.divide(work, -eps, out=work)
     np.exp(work, out=work)
@@ -240,11 +239,7 @@ def _reduced_costs(cost: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndar
     for _ in range(_WARM_PASSES):
         u = 1.0 / (work @ v)
         v = 1.0 / (u @ work)
-    a = a + np.clip(eps * np.log(u), -hi, hi)
-    b += np.clip(eps * np.log(v), -hi, hi)
-    np.subtract(cost, a[:, None], out=work)
-    work -= b
-    return work
+    return a + np.clip(eps * np.log(u), -hi, hi), b + np.clip(eps * np.log(v), -hi, hi)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,100 +249,111 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solve(cost)
 
 
-def hungarian(cost: np.ndarray) -> Plan:
-    """Exact minimum-cost complete assignment for a square nonnegative cost matrix.
+def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
+    """An optimal assignment of the points ``x`` to the points ``y``, in one n×n buffer.
 
-    Backed by SciPy's shortest-augmenting-path solver, run on the reduced
-    matrix ``cost - a·1ᵀ - 1·bᵀ`` of :func:`_reduced_costs`.  Every complete
-    assignment uses each row and each column once, so the reduction lowers
-    every assignment's total by the same ``sum(a) + sum(b)``: the optimal
-    assignments are those of ``cost``, and the total is read from ``cost``.
-    Starting from these near-optimal potentials instead of zero keeps the
-    augmenting paths short (Jonker & Volgenant's initialisation, with the
-    potentials from Sinkhorn scaling): at n=1024 on a clipped gaussian pair
-    the solve took about 0.1 s instead of 1.2 s.  The price is one n×n work
-    buffer and about 70 passes over it (60 of them matrix-vector products),
-    about 30 ms at n=1024, which is most of the time on instances that were
-    already easy.  Entries must be >= 0, so the total is never negative.
-    Only the optimal total cost is contracted, not which optimum is
-    returned among ties.  When the row minima sit in pairwise distinct
-    columns they already form an assignment, and its total, the sum of the
-    row minima, bounds every assignment's from below, so it is returned
-    without the warm start or the solve: ``exact_w2`` on identical clouds
-    at n=1024 takes about 5 ms instead of 55 ms, most of it the distances.
+    ``x`` and ``y`` are (n, d) coordinate arrays of equal shape.  The
+    assignment is solved on the two sets centred on their own means.  With
+    ``δ = mean(x) - mean(y)``, the cost between the centred points is
+    ``|x_i - y_j|² - 2⟨x_i, δ⟩ + 2⟨y_j, δ⟩ + |δ|²``: a row term, a column term
+    and a constant, so every complete assignment shifts by the same amount
+    and the optimal assignments are those of the given points.  At n=1024
+    the centred solve took 80-100 ms instead of 120-170 ms on gaussian-pair
+    t=0.5 and opening-angle pairs, about 10% longer on gaussian-pair t=1,
+    and about as long on the other families; why it solves faster was
+    measured, not derived.
 
-    ``scipy.optimize`` is imported at the first solve, through
+    When the row minima of the squared distances sit in pairwise distinct
+    columns they already form an assignment, and their sum bounds every
+    assignment's total from below, so it is returned without a solve:
+    identical clouds at n=1024 take about 5 ms instead of 55 ms.  Otherwise
+    SciPy's shortest-augmenting-path solver runs on the reduced matrix
+    ``cost - a·1ᵀ - 1·bᵀ`` with the potentials of :func:`_warm_start`.
+    Every complete assignment uses each row and each column once, so the
+    reduction lowers every total by the same ``sum(a) + sum(b)`` and keeps
+    the optimal assignments.  Starting from these near-optimal potentials
+    instead of zero keeps the augmenting paths short (Jonker & Volgenant's
+    initialisation, with the potentials from Sinkhorn scaling): at n=1024
+    on a clipped gaussian pair the solve took about 0.1 s instead of 1.2 s.
+    The warm start's kernel overwrites the distances, which are then built
+    again in the same buffer and reduced in place, so the peak is one n×n
+    float64 array (8 MiB at n=1024, 128 MiB at n=4096).  The warm start
+    costs about 70 passes over it (60 of them matrix-vector products),
+    about 30 ms at n=1024.
+
+    The total is the pair-cost sum of the plan, in row order, from the
+    given coordinates.  Which optimum comes back among ties is not
+    contracted.  Non-finite coordinates raise ``ValueError``, and so do
+    points spread so far apart that their squared distances overflow
+    float64.  ``scipy.optimize`` is imported at the first solve, through
     :func:`linear_sum_assignment`, not with this module: the rrm and merged
     paths never solve, and the import, which loads ``scipy.spatial`` too,
     costs about 0.15 s and 16 MiB.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
-    if cost.shape[0] < 1:
-        raise ValueError("cost matrix must be at least 1x1")
-    # A NaN or ±inf makes min or max non-finite; the mask is built only on error.
-    lo, hi = float(cost.min()), float(cost.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cost matrix contains non-finite entries")
-    if lo < 0.0:
-        i, j = np.unravel_index(np.argmax(cost < 0.0), cost.shape)
-        raise ValueError(f"cost matrix has a negative entry {float(cost[i, j])!r} at ({i}, {j})")
-    rows = np.arange(cost.shape[0])
-    cols = cost.argmin(axis=1)
-    row_min = cost[rows, cols]
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape != y.shape or x.shape[0] < 1:
+        raise SizeMismatchError(
+            f"point arrays must be (n, d) with n >= 1 and equal shapes, got {x.shape} and {y.shape}"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("point arrays contain non-finite coordinates")
+    xc, yc = _centred(x), _centred(y)
+    work = squared_distance_matrix(xc, yc)
+    # A NaN or ±inf makes the max non-finite; distances are never negative.
+    if not math.isfinite(float(work.max())):
+        raise ValueError(
+            "squared distances between the points overflow float64; "
+            "the clouds are spread too far apart for an exact solve, rescale them"
+        )
+    cols = work.argmin(axis=1)
     if np.unique(cols).size < cols.size:
-        rows, cols = linear_sum_assignment(_reduced_costs(cost, row_min, np.empty(cost.shape)))
-        row_min = cost[rows, cols]
-    pi = np.empty(cost.shape[0], dtype=np.int64)
-    pi[rows] = cols
-    return Plan(pi=pi, squared_cost_sum=float(row_min.sum()))
+        a, b = _warm_start(work, work[np.arange(cols.size), cols])
+        squared_distance_matrix(xc, yc, out=work)
+        work -= a[:, None]
+        work -= b
+        cols = linear_sum_assignment(work)[1]  # a square matrix's rows come back as arange(n)
+    return Plan(pi=cols, squared_cost_sum=float(_pair_costs(x, y, cols).sum()))
 
 
-def squared_distance_matrix(X: PointCloud | np.ndarray, Y: PointCloud | np.ndarray) -> np.ndarray:
+def squared_distance_matrix(
+    X: PointCloud | np.ndarray, Y: PointCloud | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pairwise squared Euclidean distances, clamped at zero in place.
 
-    Coordinate arrays are used as given, without a cloud's copy and
-    finiteness check: the solvers here pass arrays cut or centred from
-    validated clouds.  ``scipy.spatial`` is imported at the first call, not
-    with this module, since the rrm and merged paths never build a matrix.
+    With ``out``, a C-contiguous float64 array of shape (len(X), len(Y)),
+    the distances are written there and ``out`` is returned.  Coordinate
+    arrays are used as given, without a cloud's copy and finiteness check:
+    the solvers here pass arrays cut or centred from validated clouds.
+    ``scipy.spatial`` is imported at the first call, not with this module,
+    since the rrm and merged paths never build a matrix.
     """
     from scipy.spatial.distance import cdist
 
     x = X.coords if isinstance(X, PointCloud) else X
     y = Y.coords if isinstance(Y, PointCloud) else Y
-    d2 = cdist(x, y, "sqeuclidean")
+    d2 = cdist(x, y, "sqeuclidean", out=out)
     return np.maximum(d2, 0.0, out=d2)
 
 
 def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
-    """An optimal assignment of X to Y.
+    """An optimal assignment of X to Y: :func:`hungarian` on the clouds' coordinates.
 
-    The assignment is solved on the clouds centred on their own means.  With
-    ``δ = mean(X) - mean(Y)``, the cost between the centred points is
-    ``|x_i - y_j|² - 2⟨x_i, δ⟩ + 2⟨y_j, δ⟩ + |δ|²``: a row term, a column term
-    and a constant, so every complete assignment shifts by the same amount
-    and the optimal assignments are those of the original clouds.  At
-    n=1024, exact_w2 took 80-100 ms instead of 120-170 ms on gaussian-pair
-    t=0.5 and opening-angle pairs, about 10% longer on gaussian-pair t=1
-    (82-84 ms instead of 74-76 ms), and about as long on the other families.
-    Why the centred matrix solves faster was measured, not derived.  The
-    total is summed in row order from the original coordinates.  Which
+    The total is summed in row order from the original coordinates.  Which
     optimum comes back among ties is not contracted.
     """
     X, Y = _check_pair(X, Y)
-    pi = hungarian(squared_distance_matrix(_centred(X.coords), _centred(Y.coords))).pi
-    return Plan(pi=pi, squared_cost_sum=float(_pair_costs(X.coords, Y.coords, pi).sum()))
+    return hungarian(X.coords, Y.coords)
 
 
 def exact_w2(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds.
 
-    The root-mean-square cost of :func:`exact_plan`, solved on the
-    mean-centred clouds, which leaves the optimal total unchanged; refuses to
-    run above ``cap`` points, where the surrogate methods are the intended
-    tool.  Peak memory is two n×n float64 arrays (the distances and the
-    solver's work buffer, 16 MiB at n=1024).
+    The root-mean-square cost of :func:`exact_plan`; refuses to run above
+    ``cap`` points, where the surrogate methods are the intended tool.  Peak
+    memory is one n×n float64 buffer (8 MiB at n=1024), which holds the
+    squared distances, then the warm start's kernel, then the reduced costs.
+    Clouds whose squared distances overflow float64 raise ``ValueError``.
     """
     X, Y = _check_pair(X, Y)
     if X.n > cap:

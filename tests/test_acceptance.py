@@ -24,6 +24,7 @@ from rrmatch.matching import (
     hungarian,
     merged_rrm,
     rrm_plan,
+    squared_distance_matrix,
 )
 from rrmatch.srrm import SrrmConfig, sample_near, srrm_match
 
@@ -103,11 +104,13 @@ def test_hungarian_vs_brute_force():
     worst = 0.0
     for trial in range(200):
         rng = derive_rng(4, trial)
-        cost = rng.random((7, 7))
+        x, y = rng.random((7, 2)), rng.random((7, 2))
+        cost = squared_distance_matrix(x, y)
         brute = cost[rows, perms].sum(axis=1).min()
-        worst = max(worst, abs(hungarian(cost).squared_cost_sum - brute))
+        worst = max(worst, abs(hungarian(x, y).squared_cost_sum - brute))
     ok = worst <= 1e-12
-    _report("assignment optimality vs factorial brute force (200 x 7x7)", ok, f"worst gap {worst:.2e}")
+    _report("assignment optimality vs factorial brute force (200 pairs of 7-point clouds)", ok,
+            f"worst gap {worst:.2e}")
 
 
 def test_plateau_lower_bound_fuzz():

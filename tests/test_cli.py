@@ -13,7 +13,7 @@ from rrmatch.cli import _exact_cap, _spec_from_args, build_parser, main
 from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_point_cloud
 from rrmatch.diagnostics import UniformPopulation, convergence_experiment
 from rrmatch.generators import GeneratorSpec
-from rrmatch.matching import exact_w2, hungarian, squared_distance_matrix
+from rrmatch.matching import exact_w2, hungarian
 from rrmatch.srrm import SrrmConfig
 
 
@@ -93,6 +93,14 @@ class TestDistance:
         save_point_cloud(Y, y)
         assert run("distance", x, y, "--method", "exact", "--normalize", "none") == 0
         assert json.loads(capsys.readouterr().out)["value"] == exact_w2(X, Y)
+
+    def test_overflowing_spread_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x, y = tmp_path / "x.pcf", tmp_path / "y.pcf"
+        save_point_cloud(PointCloud(1e160 * rng.random((16, 2))), x)
+        save_point_cloud(PointCloud(1e160 * rng.random((16, 2))), y)
+        assert run("distance", x, y, "--method", "exact", "--normalize", "none") == 3
+        assert "squared distances between the points overflow float64" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run("distance", tmp_path / "nope.pcf", tmp_path / "nah.pcf")
@@ -216,7 +224,7 @@ class TestMatch:
         out = tmp_path / "plan.csv"
         assert run("match", x, y, "--method", "srrm", "--seed", 0, "--K", 10, "--out", out) == 0
         pi = np.array([int(line.split(",")[1]) for line in out.read_text().splitlines()])
-        optimal = hungarian(squared_distance_matrix(X, Y))
+        optimal = hungarian(X.coords, Y.coords)
         assert plan_squared_cost(X, Y, pi) == pytest.approx(optimal.squared_cost_sum, abs=1e-12)
 
     def test_match_requires_out(self, pair_files, capsys):

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,6 @@ from rrmatch.matching import (
     _TAG_VARIANT,
     RunVariant,
     _cycle_labels,
-    _reduced_costs,
     exact_plan,
     exact_w2,
     hungarian,
@@ -250,7 +252,7 @@ class TestMergePair:
     def test_merge_with_optimal_keeps_optimal(self):
         rng = np.random.default_rng(8)
         X, Y = _random_pair(rng, 15, 2)
-        optimal = hungarian(squared_distance_matrix(X, Y))
+        optimal = hungarian(X.coords, Y.coords)
         other = rrm_plan(X, Y, RunVariant.random(2, seed=1, index=1))
         merged = merge_pair(optimal, other, X, Y)
         assert merged.squared_cost_sum == pytest.approx(optimal.squared_cost_sum, rel=1e-12)
@@ -319,59 +321,104 @@ class TestMergedRrm:
         assert abs(recomputed - plan.squared_cost_sum) <= 1e-12 * recomputed
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """Copies of the matrices hungarian passes to the solver, in call order."""
+    seen = []
+
+    def recording(cost):
+        seen.append(cost.copy())
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", recording)
+    return seen
+
+
+def _centred_costs(x, y):
+    return squared_distance_matrix(x - x.mean(axis=0), y - y.mean(axis=0))
+
+
+def _hub_pair(rng, n, scale=1.0):
+    """x a small cluster, y its centre plus n - 1 points on a circle of radius 10.
+
+    After centring, every source's nearest target is y[0], so the row minima
+    collide and the solver runs.
+    """
+    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n - 1) / (n - 1)
+    y = np.vstack([[0.0, 0.0], 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])])
+    return scale * (rng.random((n, 2)) - 0.5), scale * y
+
+
 class TestHungarian:
     def test_identity_favoring_matrix(self):
-        cost = np.ones((5, 5)) - np.eye(5)
-        plan = hungarian(cost)
+        x = np.eye(5)
+        plan = hungarian(x, x)
         np.testing.assert_array_equal(plan.pi, np.arange(5))
         assert plan.squared_cost_sum == 0.0
 
     def test_all_equal_matrix(self):
-        plan = hungarian(np.full((6, 6), 2.5))
+        # Coincident clouds: every squared distance is 1.5² + 0.5² = 2.5.
+        plan = hungarian(np.zeros((6, 2)), np.tile([1.5, 0.5], (6, 1)))
+        assert sorted(plan.pi) == list(range(6))
         assert plan.squared_cost_sum == pytest.approx(15.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
         for _ in range(40):
-            cost = rng.random((7, 7))
-            assert hungarian(cost).squared_cost_sum == pytest.approx(
-                brute_force_assignment_cost(cost), abs=1e-12
+            x, y = rng.random((7, 2)), rng.random((7, 2))
+            assert hungarian(x, y).squared_cost_sum == pytest.approx(
+                brute_force_assignment_cost(squared_distance_matrix(x, y)), abs=1e-12
             )
 
     def test_rejects_non_finite(self):
-        cost = np.ones((3, 3))
-        cost[1, 1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            hungarian(cost)
+        # Spread 1e160: every squared distance between the two halves is 1e320.
+        x = np.array([[0.0, 0.0], [1e160, 0.0]])
+        with pytest.raises(ValueError, match="squared distances between the points overflow float64"):
+            hungarian(x, x + 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_any_non_finite_entry_is_reported_before_a_negative_one(self, bad):
-        cost = np.array([[-1.0, 1.0], [1.0, 1.0]])
-        cost[1, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            hungarian(cost)
+    def test_non_finite_coordinate_is_reported(self, bad):
+        x = np.ones((2, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            hungarian(x, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            hungarian(np.ones((2, 2)), x)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hungarian(np.ones((2, 3)))
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match=r"negative entry -1.0 at \(0, 0\)"):
-            hungarian(np.array([[-1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError, match=r"-1e-300 at \(1, 0\)"):
-            hungarian(np.array([[0.0, 1.0], [-1e-300, 1.0]]))
+        with pytest.raises(SizeMismatchError, match="equal shapes"):
+            hungarian(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(SizeMismatchError, match="equal shapes"):
+            hungarian(np.ones((2, 2)), np.ones((2, 3)))
+        with pytest.raises(SizeMismatchError, match="n >= 1"):
+            hungarian(np.ones((0, 2)), np.ones((0, 2)))
 
     def test_negative_zero_is_not_negative(self):
-        plan = hungarian(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        plan = hungarian(np.array([[-0.0], [1.0]]), np.array([[0.0], [1.0]]))
         np.testing.assert_array_equal(plan.pi, [0, 1])
         assert plan.squared_cost_sum == 0.0
+        assert math.copysign(1.0, plan.squared_cost_sum) == 1.0
 
-    def test_mean_overflow_keeps_min_reductions(self):
-        # Rows 0 and 1 share their first minimum column, so the solver runs.
-        big = np.finfo(np.float64).max / 2
-        plan = hungarian(np.array([[0.0, big, big], [0.0, 0.0, big], [big, big, 0.0]]))
-        np.testing.assert_array_equal(plan.pi, [0, 1, 2])
-        assert plan.squared_cost_sum == 0.0
+    def test_mean_overflow_keeps_min_reductions(self, solved):
+        # Two clusters 10 apart, at a scale where each squared distance is
+        # finite (at most about 0.7 of the float64 maximum) but the reduced
+        # matrix keeps every cross-cluster cost, so its sum, and with it the
+        # mean that sets the warm start's temperature, overflows.
+        rng = np.random.default_rng(23)
+        s = math.sqrt(np.finfo(np.float64).max / 200.0)
+        x, y = (s * np.vstack([rng.random((4, 2)), rng.random((2, 2)) + [10.0, 0.0]]) for _ in range(2))
+        plan = hungarian(x, y)
+        cost = _centred_costs(x, y)
+        a = cost.min(axis=1)
+        reduced = cost - a[:, None]
+        reduced -= reduced.min(axis=0)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(cost).all() and not np.isfinite(reduced.sum())
+        assert len(solved) == 1
+        np.testing.assert_array_equal(solved[0], reduced)
+        assert plan.squared_cost_sum == pytest.approx(
+            brute_force_assignment_cost(squared_distance_matrix(x, y)), rel=1e-12
+        )
 
     def test_distinct_row_minima_skip_the_solver(self, monkeypatch):
         def refuse(cost):
@@ -379,32 +426,23 @@ class TestHungarian:
 
         monkeypatch.setattr(matching, "linear_sum_assignment", refuse)
         X, Y = generators.gen(generators.GeneratorSpec("perturbed-copy", n=300, d=2, seed=5))
-        plan = hungarian(squared_distance_matrix(X, Y))
+        plan = hungarian(X.coords, Y.coords)
         assert plan.pi.dtype == np.int64
         np.testing.assert_array_equal(plan.pi, np.arange(300))
         assert plan.squared_cost_sum == 0.0
         assert exact_w2(X, Y) == 0.0
 
-    def test_colliding_row_minima_match_brute_force(self, monkeypatch):
-        calls = []
-
-        def counted(cost):
-            calls.append(cost.shape)
-            return linear_sum_assignment(cost)
-
-        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+    def test_colliding_row_minima_match_brute_force(self, solved):
         rng = np.random.default_rng(16)
-        for n in range(2, 8):
+        for n in range(3, 9):
             for _ in range(10):
-                cost = rng.random((n, n))
-                # Every row's minimum falls in column 0, yet only one row can use it.
-                cost[:, 0] = 0.01 * rng.random(n)
-                plan = hungarian(cost)
+                x, y = _hub_pair(rng, n)
+                plan = hungarian(x, y)
                 assert sorted(plan.pi) == list(range(n))
                 assert plan.squared_cost_sum == pytest.approx(
-                    brute_force_assignment_cost(cost), abs=1e-12
+                    brute_force_assignment_cost(squared_distance_matrix(x, y)), rel=1e-12
                 )
-        assert len(calls) == 60
+        assert len(solved) == 60
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -414,50 +452,56 @@ class TestHungarian:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_total_matches_plain_solver(self, kind, n, scale, seed):
-        cost = scale * _cost_matrix(kind, n, seed)
+        x, y = _point_pair(kind, n, seed)
+        x, y = scale * x, scale * y
+        cost = squared_distance_matrix(x, y)
         rows, cols = linear_sum_assignment(cost)
         want = cost[rows, cols].sum()
-        got = hungarian(cost).squared_cost_sum
-        assert abs(got - want) <= 1e-12 * want
+        plan = hungarian(x, y)
+        assert abs(plan.squared_cost_sum - want) <= 1e-12 * want
+        assert plan.squared_cost_sum == pytest.approx(
+            plan_squared_cost(PointCloud(x), PointCloud(y), plan.pi), rel=1e-12
+        )
 
     @pytest.mark.parametrize("kind", ("random", "gaussian-pair", "ties", "constant", "spread"))
-    def test_reduction_scales_with_the_costs(self, kind):
+    def test_reduction_scales_with_the_costs(self, kind, solved):
         # Powers of two scale every step exactly, so a temperature fixed in
         # absolute units, not relative to the costs, shows as a mismatch.
-        cost = _cost_matrix(kind, 40, 3)
-        base = _reduced_costs(cost, cost.min(axis=1), np.empty(cost.shape))
-        for k in (-20, 20):
-            scaled = _reduced_costs(2.0**k * cost, (2.0**k * cost).min(axis=1), np.empty(cost.shape))
-            np.testing.assert_array_equal(scaled, 2.0**k * base)
+        x, y = _point_pair(kind, 40, 3)
+        for k in (0, -10, 10):
+            hungarian(2.0**k * x, 2.0**k * y)
+        assert len(solved) == 3
+        for k, scaled in zip((-10, 10), solved[1:]):
+            np.testing.assert_array_equal(scaled, 4.0**k * solved[0])
 
-    def test_reduction_prices_the_optimum_near_zero(self):
-        cost = _cost_matrix("gaussian-pair", 200, 5)
-        reduced = _reduced_costs(cost, cost.min(axis=1), np.empty(cost.shape))
+    def test_reduction_prices_the_optimum_near_zero(self, solved):
+        x, y = _point_pair("gaussian-pair", 200, 5)
+        hungarian(x, y)
+        reduced = solved[0]
+        cost = _centred_costs(x, y)
         rows, cols = linear_sum_assignment(cost)
         spread = cost.max() - cost.min()
         assert np.isfinite(reduced).all()
         assert np.abs(reduced[rows, cols]).max() <= 0.05 * spread
 
 
-def _cost_matrix(kind, n, seed):
-    """Nonnegative n x n test matrix of the named kind."""
+def _point_pair(kind, n, seed):
+    """Two (n, d) point arrays of the named kind."""
     rng = np.random.default_rng(seed)
     if kind == "random":
-        return rng.random((n, n))
+        return rng.random((n, 2)), rng.random((n, 2))
     if kind == "ties":  # duplicated points: many optimal assignments
-        X = PointCloud(rng.integers(0, 3, (n, 2)).astype(np.float64))
-        Y = PointCloud(rng.integers(0, 3, (n, 2)).astype(np.float64))
-        return squared_distance_matrix(X, Y)
-    if kind == "constant":  # reduced scale 0
-        return np.full((n, n), rng.random())
-    if kind == "spread":  # entries from 1 to 1e6
-        return 10.0 ** rng.uniform(0.0, 6.0, (n, n))
+        return tuple(rng.integers(0, 3, (2, n, 2)).astype(np.float64))
+    if kind == "constant":  # coincident clouds: every distance equal, reduced scale 0
+        return np.tile(rng.random(2), (n, 1)), np.tile(rng.random(2), (n, 1))
+    if kind == "spread":  # coordinates from 1 to 1000
+        return tuple(10.0 ** rng.uniform(0.0, 3.0, (2, n, 2)))
     spec = generators.GeneratorSpec(kind, n=n, seed=seed, t=0.5, frac_bads=0.3, delta=0.2,
                                     alpha=0.05)
     X, Y = generators.gen(spec)
     if Y is None:
         Y, _ = generators.gen(dataclasses.replace(spec, seed=seed + 1))
-    return squared_distance_matrix(X, Y)
+    return X.coords, Y.coords
 
 
 class TestExactPlan:
@@ -487,16 +531,49 @@ class TestExactPlan:
     def test_solver_sees_centred_clouds(self, monkeypatch):
         seen = []
 
-        def recording(cost):
-            seen.append(cost.copy())
-            return hungarian(cost)
+        def recording(x, y, out=None):
+            seen.append((x.copy(), y.copy()))
+            return squared_distance_matrix(x, y, out=out)
 
-        monkeypatch.setattr(matching, "hungarian", recording)
+        monkeypatch.setattr(matching, "squared_distance_matrix", recording)
         rng = np.random.default_rng(20)
         x, y = rng.random((16, 2)), rng.random((16, 2))
         exact_plan(PointCloud(x), PointCloud(y + 100.0))
-        centred = squared_distance_matrix(x - x.mean(axis=0), y - y.mean(axis=0))
-        np.testing.assert_allclose(seen[0], centred, rtol=1e-9, atol=1e-12)
+        assert len(seen) == 2  # the distances, and again after the warm start
+        for got_x, got_y in seen:
+            np.testing.assert_allclose(got_x, x - x.mean(axis=0), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(got_y, y - y.mean(axis=0), rtol=1e-9, atol=1e-12)
+
+    def test_plan_bytes_pinned(self):
+        # The pair validate-1k solves at seed 1 (bench/workloads.py:
+        # instance_seed(1, 3, 0)); the digest is the solver's plan before it
+        # moved to one buffer.
+        spec = generators.GeneratorSpec("gaussian-pair", n=1024, t=0.5, seed=17579876663566485232)
+        plan = exact_plan(*generators.gen(spec))
+        assert hashlib.sha256(plan.pi.tobytes()).hexdigest() == (
+            "ba41c2624787525d8b9a8b5198ad014cdde22e10c9c9191da5ddaba664ef93a2"
+        )
+        assert plan.squared_cost_sum == pytest.approx(249.0124299490274, rel=1e-12)
+
+    def test_peak_memory_is_one_buffer(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        n = 512
+        X, Y = generators.gen(generators.GeneratorSpec("gaussian-pair", n=n, t=0.5, seed=1))
+        exact_plan(X, Y)  # imports and first-call set-up stay outside the trace
+        tracemalloc.start()
+        try:
+            exact_plan(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(n, n)] * 2  # the warm start and the solver ran
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestExactW2:
@@ -549,6 +626,12 @@ class TestExactW2:
         X, Y = _random_pair(rng, 9, 2)
         with pytest.raises(CapExceededError, match="surrogate"):
             exact_w2(X, Y, cap=8)
+
+    def test_overflowing_spread_is_named(self):
+        rng = np.random.default_rng(24)
+        X, Y = PointCloud(1e160 * rng.random((8, 2))), PointCloud(1e160 * rng.random((8, 2)))
+        with pytest.raises(ValueError, match="squared distances between the points overflow float64"):
+            exact_w2(X, Y)
 
 
 class TestRunVariant:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -108,7 +109,7 @@ class TestFinalize:
         rng = np.random.default_rng(6)
         X = PointCloud(rng.random((8, 2)))
         Y = PointCloud(rng.random((8, 2)))
-        plan = hungarian(squared_distance_matrix(X, Y))
+        plan = hungarian(X.coords, Y.coords)
         completed = finalize_hungarian(X, Y, plan.pi)
         np.testing.assert_array_equal(completed.pi, plan.pi)
         assert completed.squared_cost_sum == plan_squared_cost(X, Y, plan.pi)
@@ -117,7 +118,7 @@ class TestFinalize:
         rng = np.random.default_rng(7)
         X = PointCloud(rng.random((10, 2)))
         Y = PointCloud(rng.random((10, 2)))
-        full = hungarian(squared_distance_matrix(X, Y))
+        full = hungarian(X.coords, Y.coords)
         assert finalize_hungarian(X, Y, np.full(10, UNASSIGNED)).squared_cost_sum == pytest.approx(
             full.squared_cost_sum, rel=1e-12
         )
@@ -193,6 +194,25 @@ class TestFinalize:
         Y = PointCloud(rng.random((6, 2)))
         with pytest.raises(CapExceededError, match="rounds"):
             finalize_hungarian(X, Y, np.full(6, UNASSIGNED), cap=5)
+
+    def test_overflowing_residual_is_named(self):
+        rng = np.random.default_rng(11)
+        X, Y = PointCloud(1e160 * rng.random((6, 2))), PointCloud(1e160 * rng.random((6, 2)))
+        pi = np.array([0, UNASSIGNED, 1, UNASSIGNED, UNASSIGNED, 2])
+        with pytest.raises(ValueError, match="squared distances between the points overflow float64"):
+            finalize_hungarian(X, Y, pi)
+
+    def test_residual_plan_bytes_pinned(self):
+        # A 200-point residual whose row minima collide, so the warm start
+        # runs; the digest is the solver's plan before it moved to one buffer.
+        X, Y = gen(GeneratorSpec("gaussian-pair", n=600, t=0.5, seed=11))
+        pi = rrm_plan(X, Y).pi.copy()
+        pi[::3] = UNASSIGNED
+        completed = finalize_hungarian(X, Y, pi)
+        assert hashlib.sha256(completed.pi.tobytes()).hexdigest() == (
+            "f01a6cdcf41969c77d4d69a76379c89474636c192eade59d4f44ec1732388a3a"
+        )
+        assert completed.squared_cost_sum == pytest.approx(143.48690021589198, rel=1e-12)
 
 
 class TestSrrmMatch:
