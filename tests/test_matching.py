@@ -338,7 +338,7 @@ def _centred_costs(x, y):
     return squared_distance_matrix(x - x.mean(axis=0), y - y.mean(axis=0))
 
 
-def _hub_pair(rng, n, scale=1.0):
+def _hub_pair(rng, n):
     """x a small cluster, y its centre plus n - 1 points on a circle of radius 10.
 
     After centring, every source's nearest target is y[0], so the row minima
@@ -346,7 +346,7 @@ def _hub_pair(rng, n, scale=1.0):
     """
     angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n - 1) / (n - 1)
     y = np.vstack([[0.0, 0.0], 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])])
-    return scale * (rng.random((n, 2)) - 0.5), scale * y
+    return rng.random((n, 2)) - 0.5, y
 
 
 class TestHungarian:
