@@ -28,7 +28,6 @@ from rrmatch.diagnostics import (
     anchored_rrm_uniform,
     calibrated_depth,
     convergence_experiment,
-    nn_baseline,
     plateau_decomposition,
     premature_set,
     threshold_consistency_experiment,
@@ -85,7 +84,6 @@ __all__ = [
     "load_point_cloud",
     "merge_pair",
     "merged_rrm",
-    "nn_baseline",
     "normalize_unit_box",
     "plan_squared_cost",
     "plateau_decomposition",

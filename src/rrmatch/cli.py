@@ -118,12 +118,11 @@ def _timed_plan(
                          seed=args.seed, **cap)
         result = srrm_match(X, Y, cfg)
         plan, params = result.plan, {"K": args.K, "R": args.R, "anchors": args.anchors,
-                                     "cap": cfg.hungarian_cap, "history": list(result.history)}
+                                     "cap": cfg.hungarian_cap, "history": list(result.history),
+                                     "guard_applied": result.guard_applied}
     else:
         cap = _exact_cap(args)
-        if X.n > cap:
-            raise CapExceededError(f"exact method capped at {cap} points, got {X.n}")
-        plan, params = exact_plan(X, Y), {"cap": cap}
+        plan, params = exact_plan(X, Y, cap), {"cap": cap}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return plan, params, {"wall_ms": wall_ms, "timestamp": time.time()}
 
@@ -390,12 +389,14 @@ def _add_io(p: argparse.ArgumentParser, table: bool, out_required: bool = False)
 def _add_matcher_params(p: argparse.ArgumentParser) -> None:
     """Merge and screening flags, defaulting to :class:`SrrmConfig`'s fields."""
     p.add_argument("--K", type=_int_at_least(1), default=SrrmConfig.merge_runs, help="merge runs")
-    p.add_argument("--R", type=_int_at_least(0), default=SrrmConfig.rounds, help="screening rounds")
+    p.add_argument("--R", type=_int_at_least(1), default=SrrmConfig.rounds,
+                   help="screening rounds, at least 1 (zero rounds is the merged method)")
     p.add_argument("--anchors", type=_int_at_least(0), default=SrrmConfig.anchors_per_point,
                    help="anchors per unresolved point")
     p.add_argument("--cap", type=_int_at_least(0), default=None,
-                   help=f"exact-assignment size cap (default {EXACT_CAP} for exact, "
-                        f"{SrrmConfig.hungarian_cap} for the screening residual)")
+                   help=f"exact-assignment size cap; one value sets both the exact method's cap "
+                        f"(default {EXACT_CAP}) and the screening residual's (default "
+                        f"{SrrmConfig.hungarian_cap}), so a cap meant for one also binds the other")
 
 
 def _add_generator_params(p: argparse.ArgumentParser) -> None:
@@ -455,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_method_list, default="rrm,merged,srrm")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
     p.add_argument("--diag-depth", type=_int_at_least(1, MAX_DEPTH), default=None,
-                   help="depth of the premature-split diagnostic (default ceil(log2 n) - 3); from the "
-                   "union's full depth ceil(log2 2n) on, coincident points get separate cells, so "
-                   "alpha_H reads 1.0 even for identical clouds")
+                   help="depth of the premature-split diagnostic (default ceil(log2 n) - 3); rank "
+                   "splits can separate coincident points, so identical clouds read alpha_H 1.0 from "
+                   "the union's full depth ceil(log2 2n) on, and above 0 below it unless 2n is a power "
+                   "of two (0.063 at n=1000 and the default depth 7)")
 
     p = parsers["converge"]
     p.add_argument("--kind", choices=("anchored", "thresholds"), default="anchored")

@@ -64,13 +64,6 @@ def _nn_partners(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pair_costs(x, y, idx), idx
 
 
-def nn_baseline(X: PointCloud, Y: PointCloud) -> np.ndarray:
-    """Distance from each point of X to its nearest neighbor in Y."""
-    X, Y = _check_pair(X, Y, equal_size=False)
-    sq, _ = _nn_partners(X.coords, Y.coords)
-    return np.sqrt(sq)
-
-
 @dataclass(frozen=True)
 class LastMileParams:
     """Tree depth and dimension for the premature-split diagnostic."""
@@ -146,11 +139,17 @@ def premature_set(
     differ within the first ``calibrated_depth`` digits of their distance.
     Returns the bad index set and its fraction of |X|.
 
-    Known defect: from ``params.depth >= full_depth(X.n + Y.n)`` on, rank
-    splits give every point of the union its own cell, so a pair at distance
-    0, whose calibrated depth is the full ``params.depth``, is always read as
-    separated: identical clouds of 64 uniform points read alpha 1.0 at depths
-    7, 8 and 12, where depth 6 reads 0.
+    Known defect: rank splits can cut between the two copies of a coincident
+    pair, and such a pair, whose calibrated depth is the full
+    ``params.depth``, is then read as separated.  From
+    ``params.depth >= full_depth(X.n + Y.n)`` on every point of the union has
+    its own cell, so identical clouds read alpha 1.0.  Below that depth a cut
+    of an odd-sized cell can fall between copies, so unless the union's size
+    is a power of two identical clouds read alpha above 0: on 1000 uniform
+    points (d=2) 0.063, 0.109, 0.178 and 0.294 at depths 7 to 10 (full depth
+    11), on 100 points 0.10 to 0.64 at depths 4 to 7, and on 64 or 1024
+    points 0 below full depth.  Capping ell or rejecting depths from full
+    depth on does not remove it.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
     *_, bad = _premature_core(X, Y, params)

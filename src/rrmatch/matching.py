@@ -336,28 +336,27 @@ def squared_distance_matrix(
     return np.maximum(d2, 0.0, out=d2)
 
 
-def exact_plan(X: PointCloud, Y: PointCloud) -> Plan:
+def exact_plan(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> Plan:
     """An optimal assignment of X to Y: :func:`hungarian` on the clouds' coordinates.
 
+    Refuses to run above ``cap`` points, where the surrogate methods are the
+    intended tool.  Peak memory is one n×n float64 buffer (8 MiB at n=1024),
+    which holds the squared distances, then the warm start's kernel, then the
+    reduced costs.
     The total is summed in row order from the original coordinates.  Which
     optimum comes back among ties is not contracted.
     """
     X, Y = _check_pair(X, Y)
+    if X.n > cap:
+        raise CapExceededError(
+            f"exact solve capped at {cap} points, got {X.n}; use rrm/merged/srrm surrogates"
+        )
     return hungarian(X.coords, Y.coords)
 
 
 def exact_w2(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> float:
-    """Exact 2-Wasserstein distance between equal-size uniform clouds.
+    """Exact 2-Wasserstein distance between equal-size uniform clouds: the rms of :func:`exact_plan`.
 
-    The root-mean-square cost of :func:`exact_plan`; refuses to run above
-    ``cap`` points, where the surrogate methods are the intended tool.  Peak
-    memory is one n×n float64 buffer (8 MiB at n=1024), which holds the
-    squared distances, then the warm start's kernel, then the reduced costs.
     Clouds whose squared distances overflow float64 raise ``ValueError``.
     """
-    X, Y = _check_pair(X, Y)
-    if X.n > cap:
-        raise CapExceededError(
-            f"exact_w2 capped at {cap} points, got {X.n}; use rrm/merged/srrm surrogates"
-        )
-    return exact_plan(X, Y).rms
+    return exact_plan(X, Y, cap).rms

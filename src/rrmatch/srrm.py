@@ -1,12 +1,12 @@
-"""Selective rank matching: anchor-based screening plus exact finalization.
+"""Selective rank matching: screening, exact completion and a guard.
 
-Each round matches the currently unresolved subsets augmented with synthetic
-anchor points appended identically to both sides.  A real point matched to a
-real point is committed as reliable and never revisited; a real point captured
-by an anchor is carried into the next round.  The assignment stays an int64
-array, ``UNASSIGNED`` where uncommitted, until an exact assignment on the
-residual completes it into a plan; an optional guard makes the result never
-worse than plain multi-run matching.
+Screening runs rounds that match the currently unresolved subsets augmented
+with synthetic anchor points appended identically to both sides.  A real point
+matched to a real point is committed as reliable and never revisited; a real
+point captured by an anchor is carried into the next round.  The assignment
+stays an int64 array, ``UNASSIGNED`` where uncommitted, until an exact
+assignment on the residual completes it into a plan; an optional guard then
+makes the result never worse than plain multi-run matching.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ _TAG_ANCHOR = 3
 class SrrmConfig:
     """Screening parameters.
 
-    rounds=0 returns ``merged_rrm(X, Y, merge_runs, seed)``.  With
-    anchors_per_point=0, round 0 matches the real points alone and commits
-    all of them, so the pipeline plan is ``merged_rrm`` seeded with round 0's
-    derived seed, not with ``seed``, and finalization has nothing to do.
-    ``guard`` keeps one extra merged run and returns whichever plan is
-    cheaper, making "never worse than merged" a hard invariant.
+    At least one round runs: the zero-round plan is
+    ``merged_rrm(X, Y, merge_runs, seed)``.  With anchors_per_point=0, round 0
+    matches the real points alone and commits all of them, so the pipeline plan
+    is ``merged_rrm`` seeded with round 0's derived seed, not with ``seed``, and
+    finalization has nothing to do.  ``guard`` keeps one extra merged run and
+    returns whichever plan is cheaper, making "never worse than merged" a hard
+    invariant.
     """
 
     rounds: int = 10
@@ -62,8 +63,8 @@ class SrrmConfig:
     guard: bool = True
 
     def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1; the zero-round plan is merged_rrm(X, Y, merge_runs, seed)")
         if self.anchors_per_point < 0:
             raise ValueError("anchors_per_point must be >= 0")
         if self.merge_runs < 1:
@@ -75,11 +76,25 @@ class SrrmConfig:
 
 @dataclass(frozen=True)
 class SrrmResult:
+    """The plan, the unresolved count after each round, and whether the guard's plan won.
+
+    Round r committed ``history[r-1] - history[r]`` pairs, and round 0
+    ``n - history[0]``; ``history`` ends at a 0 once nothing is unresolved.
+    ``residual``, what the exact completion assigned, is ``history[-1]``, and
+    ``value`` is ``plan.rms``.
+    """
+
     plan: Plan
-    value: float
     history: tuple[int, ...]
-    residual: int
     guard_applied: bool
+
+    @property
+    def value(self) -> float:
+        return self.plan.rms
+
+    @property
+    def residual(self) -> int:
+        return self.history[-1]
 
 
 def sample_near(
@@ -172,37 +187,18 @@ def finalize_hungarian(
     return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
 
 
-def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> SrrmResult:
-    """Run the full screening pipeline and return a complete bijection.
+def _screen(X: PointCloud, Y: PointCloud, cfg: SrrmConfig) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Screening rounds: the partial assignment and the unresolved count after each round.
 
     Per round: take the unresolved subsets, append anchors sampled near both
     subsets to both sides, compute a merged multi-run plan on the augmented
     sets, commit real-to-real pairs globally, and carry anchor-captured points
-    forward.  Rounds stop early once nothing is unresolved.  The residual is
-    finished exactly, and with the guard enabled the result is the cheaper of
-    the pipeline plan and a plain merged plan computed with the same seed.
+    forward.  Rounds stop early once nothing is unresolved.
     """
-    X, Y = _check_pair(X, Y)
-    cfg = cfg or SrrmConfig()
-    n = X.n
     k = cfg.anchors_per_point
-
-    if cfg.rounds == 0:
-        # Degraded path: no screening happened, so the merged plan is the
-        # pipeline output and finalization has nothing to do.
-        base = merged_rrm(X, Y, cfg.merge_runs, cfg.seed)
-        return SrrmResult(
-            plan=base,
-            value=base.rms,
-            history=(),
-            residual=0,
-            guard_applied=False,
-        )
-
-    # The global partial assignment and the still unresolved sources and targets.
-    pi = np.full(n, UNASSIGNED, dtype=np.int64)
-    unresolved_x = np.arange(n, dtype=np.int64)
-    unresolved_y = np.arange(n, dtype=np.int64)
+    pi = np.full(X.n, UNASSIGNED, dtype=np.int64)
+    unresolved_x = np.arange(X.n, dtype=np.int64)
+    unresolved_y = np.arange(X.n, dtype=np.int64)
     history = []
     for r in range(cfg.rounds):
         m = unresolved_x.size
@@ -223,26 +219,26 @@ def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> S
             derive_seed(cfg.seed, _TAG_ROUND, r),
         )
         good, keep_x, keep_y = select(T, m)
-        if good.size:
-            pi[unresolved_x[good[:, 0]]] = unresolved_y[good[:, 1]]
+        pi[unresolved_x[good[:, 0]]] = unresolved_y[good[:, 1]]
         unresolved_x = unresolved_x[keep_x]
         unresolved_y = unresolved_y[keep_y]
         history.append(int(unresolved_x.size))
+    return pi, tuple(history)
 
-    residual = int(unresolved_x.size)
+
+def srrm_match(X: PointCloud, Y: PointCloud, cfg: SrrmConfig | None = None) -> SrrmResult:
+    """Screen, complete the residual exactly, then guard: a complete bijection.
+
+    With the guard enabled the result is the cheaper of the pipeline plan and a
+    plain merged plan computed with the same seed.
+    """
+    X, Y = _check_pair(X, Y)
+    cfg = cfg or SrrmConfig()
+    pi, history = _screen(X, Y, cfg)
     plan = finalize_hungarian(X, Y, pi, cfg.hungarian_cap)
-
     guard_applied = False
     if cfg.guard:
         base = merged_rrm(X, Y, cfg.merge_runs, cfg.seed)
         if base.squared_cost_sum < plan.squared_cost_sum:
-            plan = base
-            guard_applied = True
-
-    return SrrmResult(
-        plan=plan,
-        value=plan.rms,
-        history=tuple(history),
-        residual=residual,
-        guard_applied=guard_applied,
-    )
+            plan, guard_applied = base, True
+    return SrrmResult(plan=plan, history=history, guard_applied=guard_applied)

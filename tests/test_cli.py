@@ -14,7 +14,7 @@ from rrmatch.core import PointCloud, load_point_cloud, plan_squared_cost, save_p
 from rrmatch.diagnostics import UniformPopulation, convergence_experiment
 from rrmatch.generators import GeneratorSpec
 from rrmatch.matching import exact_w2, hungarian
-from rrmatch.srrm import SrrmConfig
+from rrmatch.srrm import SrrmConfig, srrm_match
 
 
 def run(*argv):
@@ -156,6 +156,7 @@ class TestUsageErrors:
         (("plateau", "--family", "line-mixture", "--grid", "0", "--methods", "rrm,foo"),
          "--methods"),
         (("plateau", "--family", "line-mixture", "--grid", "0", "--methods", "foo"), "--methods"),
+        (("distance", "{x}", "{y}", "--method", "srrm", "--R", 0), "--R"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, pair_files, capsys, argv, flag):
         x, y = pair_files
@@ -226,6 +227,18 @@ class TestMatch:
         pi = np.array([int(line.split(",")[1]) for line in out.read_text().splitlines()])
         optimal = hungarian(X.coords, Y.coords)
         assert plan_squared_cost(X, Y, pi) == pytest.approx(optimal.squared_cost_sum, abs=1e-12)
+
+    def test_srrm_sidecar_records_screening_and_guard(self, pair_files, tmp_path):
+        x, y = pair_files
+        out = tmp_path / "plan.csv"
+        assert run("match", x, y, "--method", "srrm", "--seed", 3, "--K", 4, "--R", 3,
+                   "--anchors", 2, "--normalize", "none", "--out", out) == 0
+        sidecar = json.loads((tmp_path / "plan.csv.json").read_text())
+        result = srrm_match(load_point_cloud(x), load_point_cloud(y),
+                            SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=3))
+        assert sidecar["params"] == {"K": 4, "R": 3, "anchors": 2, "cap": SrrmConfig.hungarian_cap,
+                                     "history": list(result.history),
+                                     "guard_applied": result.guard_applied}
 
     def test_match_requires_out(self, pair_files, capsys):
         x, y = pair_files

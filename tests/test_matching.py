@@ -624,8 +624,10 @@ class TestExactW2:
     def test_cap(self):
         rng = np.random.default_rng(19)
         X, Y = _random_pair(rng, 9, 2)
-        with pytest.raises(CapExceededError, match="surrogate"):
-            exact_w2(X, Y, cap=8)
+        for solve in (exact_w2, exact_plan):
+            with pytest.raises(CapExceededError, match="capped at 8 points, got 9; use rrm/merged/srrm"):
+                solve(X, Y, cap=8)
+        assert exact_w2(X, Y, cap=9) == exact_plan(X, Y, cap=9).rms
 
     def test_overflowing_spread_is_named(self):
         rng = np.random.default_rng(24)

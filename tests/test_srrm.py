@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -230,15 +231,10 @@ class TestSrrmMatch:
         result = srrm_match(X, X, SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=1))
         assert result.value == 0.0
 
-    def test_zero_rounds_equals_merged(self):
-        rng = np.random.default_rng(11)
-        X = PointCloud(rng.random((40, 2)))
-        Y = PointCloud(rng.random((40, 2)))
-        cfg = SrrmConfig(rounds=0, merge_runs=6, seed=12)
-        result = srrm_match(X, Y, cfg)
-        base = merged_rrm(X, Y, 6, seed=12)
-        assert result.value == base.rms
-        np.testing.assert_array_equal(result.plan.pi, base.pi)
+    def test_zero_rounds_rejected_naming_the_merged_plan(self):
+        with pytest.raises(ValueError, match=r"rounds must be >= 1; the zero-round plan is "
+                           r"merged_rrm\(X, Y, merge_runs, seed\)"):
+            SrrmConfig(rounds=0)
 
     def test_zero_anchors_commits_merged_plan(self):
         rng = np.random.default_rng(12)
@@ -334,7 +330,7 @@ class TestSrrmMatch:
     @given(
         n=st.integers(min_value=2, max_value=40),
         d=st.integers(min_value=1, max_value=4),
-        rounds=st.integers(min_value=0, max_value=4),
+        rounds=st.integers(min_value=1, max_value=4),
         anchors=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -346,6 +342,36 @@ class TestSrrmMatch:
         result = srrm_match(X, Y, cfg)
         assert result.plan.n == n
         assert np.unique(result.plan.pi).size == n
+
+    def test_outputs_bytes_pinned(self):
+        # The digest was taken before the pipeline was split into screen,
+        # completion and guard.  The cases cover the guard firing, not firing
+        # and off, anchors 0, 1 and 5, rounds=1 and two early exits.
+        cases = [
+            ("gaussian-pair", dict(n=200, t=1.0, seed=3), dict(rounds=10, anchors_per_point=5, seed=3)),
+            ("gaussian-pair", dict(n=200, t=1.0, seed=3),
+             dict(rounds=10, anchors_per_point=5, seed=3, guard=False)),
+            ("gaussian-pair", dict(n=200, t=0.5, seed=4),
+             dict(rounds=1, anchors_per_point=1, merge_runs=5, seed=4)),
+            ("perturbed-copy", dict(n=300, d=3, alpha=5e-3, seed=5),
+             dict(rounds=10, anchors_per_point=5, seed=5)),
+            ("perturbed-copy", dict(n=300, d=2, alpha=5e-3, seed=6),
+             dict(rounds=10, anchors_per_point=1, seed=6)),
+            ("line-mixture", dict(n=120, seed=7),
+             dict(rounds=4, anchors_per_point=0, merge_runs=4, seed=7, guard=False)),
+            ("line-mixture", dict(n=120, seed=7), dict(rounds=4, anchors_per_point=0, merge_runs=4, seed=7)),
+        ]
+        digest = hashlib.sha256()
+        fired = []
+        for family, spec, cfg in cases:
+            X, Y = gen(GeneratorSpec(family, **spec))
+            result = srrm_match(X, Y, SrrmConfig(**cfg))
+            digest.update(result.plan.pi.tobytes())
+            digest.update(struct.pack("<2d", result.plan.squared_cost_sum, result.value))
+            digest.update(repr((result.history, result.residual, result.guard_applied)).encode())
+            fired.append(result.guard_applied)
+        assert fired == [True, False, True, True, False, False, True]
+        assert digest.hexdigest() == "46b299c98d0c0fc294c6b3b93e36dc2c9b1208bb80a67708c60960769370b354"
 
     def test_last_mile_sanity(self):
         # Nearly identical clouds: screening recovers what a single run loses.
