@@ -107,11 +107,14 @@ def _as_cloud(X: PointCloud | np.ndarray) -> PointCloud:
 
 
 def _check_assignment(pi: np.ndarray, n: int, where: np.ndarray | None = None, distinct: bool = True) -> None:
-    """SizeMismatchError unless ``pi`` has n entries; ValueError naming the first
-    entry that the boolean mask ``where`` selects (all by default) and that lies
-    outside ``[0, n)`` or, with ``distinct``, repeats an earlier one."""
+    """SizeMismatchError unless ``pi`` has n entries; ValueError naming its dtype
+    unless that is an integer one (a cast would truncate floats), or naming the
+    first entry that the boolean mask ``where`` selects (all by default) and that
+    lies outside ``[0, n)`` or, with ``distinct``, repeats an earlier one."""
     if pi.shape != (n,):
         raise SizeMismatchError(f"plan size {pi.shape} does not match cloud size {n}")
+    if not np.issubdtype(pi.dtype, np.integer):
+        raise ValueError(f"index array must have an integer dtype, got {pi.dtype}")
     targets = pi if where is None else pi[where]
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         bad, problem = (targets < 0) | (targets >= n), f"is outside [0, {n})"
@@ -134,21 +137,22 @@ def _check_assignment(pi: np.ndarray, n: int, where: np.ndarray | None = None, d
 class Plan:
     """A bijection of ``range(n)`` onto itself: source ``i`` goes to target ``pi[i]``.
 
-    ``squared_cost_sum`` is the sum of squared Euclidean costs over all pairs
-    (not divided by n).  ``pi`` is stored as a read-only int64 copy of the
-    array passed in.
+    ``squared_cost_sum`` is the sum of squared Euclidean costs over all pairs (not
+    divided by n), summed per row in row order, exactly as :func:`plan_squared_cost`.
+    ``pi`` is stored as a read-only int64 copy of the integer array passed in.
     """
 
     pi: np.ndarray
     squared_cost_sum: float
 
     def __post_init__(self) -> None:
-        pi = np.array(self.pi, dtype=np.int64, order="C")
+        pi = np.asarray(self.pi)
         if pi.ndim != 1 or pi.size < 1:
             raise ValueError("pi must be a non-empty 1-d index array")
         _check_assignment(pi, pi.size)
         if not math.isfinite(self.squared_cost_sum) or self.squared_cost_sum < 0:
             raise ValueError(f"squared_cost_sum must be finite and >= 0, got {self.squared_cost_sum}")
+        pi = np.array(pi, dtype=np.int64, order="C")
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 
@@ -181,15 +185,10 @@ def _check_pair(
     return X, Y
 
 
-def _pair_diff(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Rows ``x[i] - y[pi[i]]``, gathered into one buffer and subtracted in place."""
-    buf = np.take(y, pi, axis=0)
-    return np.subtract(x, buf, out=buf)
-
-
 def _pair_costs(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-row squared distances ``||x[i] - y[pi[i]]||^2`` of a complete assignment."""
-    diff = _pair_diff(x, y, pi)
+    """Per-row squared distances ``||x[i] - y[pi[i]]||^2``, in one gathered ``y[pi]`` buffer."""
+    diff = np.take(y, pi, axis=0)
+    np.subtract(x, diff, out=diff)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -204,10 +203,9 @@ def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
     ``pi`` needs one entry per point, each in ``[0, n)``.
     """
     X, Y = _check_pair(X, Y)
-    pi = np.asarray(pi, dtype=np.int64)
+    pi = np.asarray(pi)
     _check_assignment(pi, X.n, distinct=False)
-    diff = _pair_diff(X.coords, Y.coords, pi)
-    return float(np.einsum("ij,ij->", diff, diff))
+    return float(_pair_costs(X.coords, Y.coords, pi).sum())
 
 
 def _to_unit_box(coords: np.ndarray, fitted: np.ndarray) -> np.ndarray:

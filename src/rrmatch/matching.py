@@ -173,22 +173,20 @@ def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
     The composition q o p^-1 decomposes the sources into disjoint cycles;
     within a cycle the two plans use the same set of targets, so taking
     whichever plan has the smaller squared-cost sum on that cycle's sources
-    stays a permutation and costs at most min(cost(p), cost(q)).
+    stays a permutation and costs at most min(cost(p), cost(q)).  q wins only
+    cycles where it is strictly cheaper, and the total sums the chosen per-row
+    costs in row order, so ``merge_pair(p, p)`` returns p's total bit for bit.
     """
     X, Y = _check_pair(X, Y)
     if p.n != X.n or q.n != X.n:
         raise SizeMismatchError("plan size does not match cloud size")
 
-    inv_p = p.inverse()
-    tau = inv_p[q.pi]  # sources sharing a cycle trade targets between p and q
-    labels = _cycle_labels(tau)
-    per_cycle_p = np.bincount(labels, weights=_pair_costs(X.coords, Y.coords, p.pi))
-    per_cycle_q = np.bincount(labels, weights=_pair_costs(X.coords, Y.coords, q.pi))
-
-    take_q = per_cycle_q < per_cycle_p
-    pi = np.where(take_q[labels], q.pi, p.pi)
-    cost = float(np.where(take_q, per_cycle_q, per_cycle_p).sum())
-    return Plan(pi=pi, squared_cost_sum=cost)
+    labels = _cycle_labels(p.inverse()[q.pi])  # a cycle's sources trade targets between p and q
+    cost_p = _pair_costs(X.coords, Y.coords, p.pi)
+    cost_q = _pair_costs(X.coords, Y.coords, q.pi)
+    take_q = (np.bincount(labels, weights=cost_q) < np.bincount(labels, weights=cost_p))[labels]
+    pi = np.where(take_q, q.pi, p.pi)
+    return Plan(pi=pi, squared_cost_sum=float(np.where(take_q, cost_q, cost_p).sum()))
 
 
 def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Plan:

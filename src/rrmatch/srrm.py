@@ -51,8 +51,8 @@ class SrrmConfig:
     matches the real points alone and commits all of them, so the pipeline plan
     is ``merged_rrm`` seeded with round 0's derived seed, not with ``seed``, and
     finalization has nothing to do.  ``guard`` keeps one extra merged run and
-    returns whichever plan is cheaper, making "never worse than merged" a hard
-    invariant.
+    returns it only if strictly cheaper, making "never worse than merged" a hard
+    invariant; totals are summed one way, so it fires only on a different plan.
     """
 
     rounds: int = 10
@@ -81,7 +81,8 @@ class SrrmResult:
     Round r committed ``history[r-1] - history[r]`` pairs, and round 0
     ``n - history[0]``; ``history`` ends at a 0 once nothing is unresolved.
     ``residual``, what the exact completion assigned, is ``history[-1]``, and
-    ``value`` is ``plan.rms``.
+    ``value`` is ``plan.rms``.  ``guard_applied`` means the guard's merged plan
+    was strictly cheaper, hence a different plan, and was returned.
     """
 
     plan: Plan
@@ -171,7 +172,7 @@ def finalize_hungarian(
     distances overflow float64 raises ``ValueError``.
     """
     X, Y = _check_pair(X, Y)
-    pi = np.array(partial, dtype=np.int64)
+    pi = np.array(partial)
     committed = pi != UNASSIGNED
     _check_assignment(pi, X.n, where=committed)
     rows = np.flatnonzero(~committed)

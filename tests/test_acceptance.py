@@ -232,7 +232,7 @@ def test_runtime_trends():
         n = 2**p
         clouds[n] = (PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2))))
     walls: dict[int, list[float]] = {n: [] for n in clouds}
-    for rep in range(5):  # round-robin reps so load drift hits all sizes alike
+    for rep in range(9):  # round-robin reps so load drift hits all sizes alike
         for n, (X, Y) in clouds.items():
             t0 = time.perf_counter()
             merged_rrm(X, Y, 8, seed=rep)

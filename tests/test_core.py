@@ -60,6 +60,30 @@ class TestPlan:
         plan = Plan(pi=np.array([1, 2, 0]), squared_cost_sum=0.5)
         assert plan.rms == pytest.approx(np.sqrt(0.5 / 3))
 
+    @pytest.mark.parametrize("pi, dtype", [
+        (np.array([0.9, 1.7]), "float64"),
+        ([1.0, 0.0], "float64"),
+        (np.array([True, False]), "bool"),
+        (np.array([1, 0], dtype=object), "object"),
+    ])
+    def test_rejects_non_integer_index_arrays(self, pi, dtype):
+        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
+            Plan(pi=pi, squared_cost_sum=0.0)
+        X = PointCloud(np.random.default_rng(4).random((2, 2)))
+        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
+            plan_squared_cost(X, X, pi)
+
+    def test_empty_index_array_keeps_its_size_error(self):
+        X = PointCloud(np.random.default_rng(5).random((3, 2)))
+        with pytest.raises(ValueError, match="non-empty"):
+            Plan(pi=[], squared_cost_sum=0.0)
+        with pytest.raises(SizeMismatchError, match="plan size"):
+            plan_squared_cost(X, X, [])
+
+    def test_accepts_any_integer_dtype(self):
+        plan = Plan(pi=np.array([1, 0], dtype=np.uint8), squared_cost_sum=0.0)
+        assert plan.pi.dtype == np.int64
+
     def test_inverse(self):
         plan = Plan(pi=np.array([2, 0, 1]), squared_cost_sum=0.0)
         inv = plan.inverse()

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -18,7 +19,16 @@ from rrmatch.core import (
     plan_squared_cost,
 )
 from rrmatch.generators import GeneratorSpec, gen
-from rrmatch.matching import exact_w2, hungarian, merged_rrm, rrm_plan, squared_distance_matrix
+from rrmatch.matching import (
+    RunVariant,
+    exact_plan,
+    exact_w2,
+    hungarian,
+    merge_pair,
+    merged_rrm,
+    rrm_plan,
+    squared_distance_matrix,
+)
 from rrmatch.srrm import (
     _TAG_ROUND,
     UNASSIGNED,
@@ -166,6 +176,11 @@ class TestFinalize:
             best = min(sub[np.arange(residual), list(perm)].sum()
                        for perm in itertools.permutations(range(residual)))
             assert completed.squared_cost_sum == pytest.approx(committed_cost + best, rel=1e-12)
+
+    def test_rejects_a_non_integer_partial(self):
+        X = PointCloud(np.random.default_rng(12).random((3, 2)))
+        with pytest.raises(ValueError, match="integer dtype, got float64"):
+            finalize_hungarian(X, X, np.array([0.9, -1.0, 2.2]))
 
     @pytest.mark.parametrize("size", [5, 7])
     def test_plan_size_must_match_clouds(self, size):
@@ -343,10 +358,34 @@ class TestSrrmMatch:
         assert result.plan.n == n
         assert np.unique(result.plan.pi).size == n
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian-pair", "line-mixture", "opening-angle"]),
+        n=st.integers(min_value=20, max_value=150),
+        anchors=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(family="line-mixture", n=120, anchors=0, seed=7)
+    def test_guard_fires_only_on_a_different_plan(self, family, n, anchors, seed):
+        X, Y = gen(GeneratorSpec(family, n=n, seed=seed, t=0.5, delta=0.3))
+        cfg = SrrmConfig(rounds=4, anchors_per_point=anchors, merge_runs=4, seed=seed)
+        guarded = srrm_match(X, Y, cfg)
+        unguarded = srrm_match(X, Y, dataclasses.replace(cfg, guard=False))
+        if guarded.guard_applied:
+            assert guarded.plan.pi.tobytes() != unguarded.plan.pi.tobytes()
+            assert guarded.plan.squared_cost_sum < unguarded.plan.squared_cost_sum
+        else:
+            assert guarded.plan.pi.tobytes() == unguarded.plan.pi.tobytes()
+            assert guarded.plan.squared_cost_sum == unguarded.plan.squared_cost_sum
+
     def test_outputs_bytes_pinned(self):
-        # The digest was taken before the pipeline was split into screen,
-        # completion and guard.  The cases cover the guard firing, not firing
-        # and off, anchors 0, 1 and 5, rounds=1 and two early exits.
+        # The permutation digest dates from before the pipeline was split into
+        # screen, completion and guard, and from before every plan's total was
+        # summed one way: neither change moved a permutation.  The full digest
+        # also hashes the totals' bits and the guard flags.  In the last case
+        # the guard's merged plan is the pipeline's own permutation, so it
+        # does not fire.  The cases cover the guard firing, not firing and
+        # off, anchors 0, 1 and 5, rounds=1 and two early exits.
         cases = [
             ("gaussian-pair", dict(n=200, t=1.0, seed=3), dict(rounds=10, anchors_per_point=5, seed=3)),
             ("gaussian-pair", dict(n=200, t=1.0, seed=3),
@@ -361,17 +400,19 @@ class TestSrrmMatch:
              dict(rounds=4, anchors_per_point=0, merge_runs=4, seed=7, guard=False)),
             ("line-mixture", dict(n=120, seed=7), dict(rounds=4, anchors_per_point=0, merge_runs=4, seed=7)),
         ]
-        digest = hashlib.sha256()
+        digest, pi_digest = hashlib.sha256(), hashlib.sha256()
         fired = []
         for family, spec, cfg in cases:
             X, Y = gen(GeneratorSpec(family, **spec))
             result = srrm_match(X, Y, SrrmConfig(**cfg))
             digest.update(result.plan.pi.tobytes())
+            pi_digest.update(result.plan.pi.tobytes())
             digest.update(struct.pack("<2d", result.plan.squared_cost_sum, result.value))
             digest.update(repr((result.history, result.residual, result.guard_applied)).encode())
             fired.append(result.guard_applied)
-        assert fired == [True, False, True, True, False, False, True]
-        assert digest.hexdigest() == "46b299c98d0c0fc294c6b3b93e36dc2c9b1208bb80a67708c60960769370b354"
+        assert fired == [True, False, True, True, False, False, False]
+        assert pi_digest.hexdigest() == "624b906e54b6f85edd188ebb0e67551992c39ffe25229bcc873c8206b23e7304"
+        assert digest.hexdigest() == "346f9028493bf32ee897a5c904df5f6a14eaba64874e9102823d66dffea7485f"
 
     def test_last_mile_sanity(self):
         # Nearly identical clouds: screening recovers what a single run loses.
@@ -387,3 +428,41 @@ class TestSrrmMatch:
             ratios_single.append(rrm_plan(X, Y).rms / e)
         assert np.median(ratios_srrm) <= 1.1
         assert np.median(ratios_single) >= 2.0
+
+
+def _every_builder(X, Y, seed):
+    """One plan from each function of the library that builds a Plan."""
+    variant = rrm_plan(X, Y, RunVariant.random(X.d, seed, 1))
+    partial = variant.pi.copy()
+    partial[derive_rng(seed, 5).random(X.n) < 0.3] = UNASSIGNED
+    cfg = SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=seed)
+    return {
+        "rrm_plan": variant,
+        "merged_rrm": merged_rrm(X, Y, 4, seed),
+        "merge_pair": merge_pair(rrm_plan(X, Y), variant, X, Y),
+        "hungarian": hungarian(X.coords, Y.coords),
+        "exact_plan": exact_plan(X, Y),
+        "finalize_hungarian": finalize_hungarian(X, Y, partial),
+        "srrm_match": srrm_match(X, Y, cfg).plan,
+        "srrm_match unguarded": srrm_match(X, Y, dataclasses.replace(cfg, guard=False)).plan,
+    }
+
+
+class TestOneSummationRule:
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (10.0, 0.0), (1.0, 5.0)])
+    def test_every_plan_stores_its_recomputed_total(self, scale, shift):
+        specs = [
+            GeneratorSpec("gaussian-pair", n=120, t=0.5),
+            GeneratorSpec("line-mixture", n=150, frac_bads=0.2),
+            GeneratorSpec("opening-angle", n=130, delta=0.4),
+            GeneratorSpec("perturbed-copy", n=140, alpha=0.01),
+        ]
+        mismatched = []
+        for seed in range(3):
+            for spec in specs:
+                X, Y = gen(dataclasses.replace(spec, seed=seed))
+                X, Y = PointCloud(scale * X.coords + shift), PointCloud(scale * Y.coords + shift)
+                for name, plan in _every_builder(X, Y, seed).items():
+                    if plan.squared_cost_sum != plan_squared_cost(X, Y, plan.pi):
+                        mismatched.append((spec.family, seed, name))
+        assert mismatched == []
