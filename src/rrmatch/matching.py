@@ -240,6 +240,31 @@ def _warm_start(work: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a + np.clip(eps * np.log(u), -hi, hi), b + np.clip(eps * np.log(v), -hi, hi)
 
 
+def _z_order(points: np.ndarray) -> np.ndarray:
+    """The order of the points along a Z-order (Morton) curve over their bounding box.
+
+    Each axis is quantised to ``b = max(1, min(16, 64 // d))`` bits over its
+    range, a constant axis to 0, and the bits are interleaved into one uint64
+    key, most significant bit first and axis by axis within each bit; past 64
+    axes only the first 64 enter the key.  Ties keep their input order.  The
+    points are halved before the range is taken, which scales every step by a
+    power of two, so a range near the float64 maximum does not overflow.
+    """
+    n, d = points.shape
+    b = max(1, min(16, 64 // d))
+    half = 0.5 * points[:, : 64 // b]
+    lo = half.min(axis=0)
+    span = half.max(axis=0) - lo
+    unit = np.divide(half - lo, span, out=np.zeros_like(half), where=span > 0)
+    q = np.minimum(unit * 2.0**b, 2**b - 1).astype(np.uint64)
+    key = np.zeros(n, dtype=np.uint64)
+    one = np.uint64(1)
+    for bit in range(b - 1, -1, -1):
+        for axis in range(q.shape[1]):
+            key = (key << one) | ((q[:, axis] >> np.uint64(bit)) & one)
+    return np.argsort(key, kind="stable")
+
+
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SciPy's ``linear_sum_assignment``, imported at the first call."""
     from scipy.optimize import linear_sum_assignment as solve
@@ -260,6 +285,21 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
     t=0.5 and opening-angle pairs, about 10% longer on gaussian-pair t=1,
     and about as long on the other families; why it solves faster was
     measured, not derived.
+
+    The targets, the matrix's columns, are put in Z-order over their
+    bounding box (:func:`_z_order`) after the centring, and the solution is
+    mapped back to the caller's indices; every entry keeps its bits and
+    only the column order changes.  The rows stay in the caller's order.
+    The solver took less time on the spatially ordered columns, and why was
+    measured, not derived (2-vCPU Xeon, SciPy 1.17): 42-44 → 30-31 ms on
+    validate-1k's pair, 2290 → 1702 ms summed over 16 instances of the
+    generator families at n = 1024 and 2048, and 1.36-1.66 → 1.18-1.31 s on
+    a gaussian pair at t=1 and n=4096.  A random column order did not help
+    (232-248 ms against 218-241 ms on a gaussian pair at n=2048, 170-196 ms
+    in Z-order), so the gain comes from locality, not from reordering.
+    Rows in curve order as well were slower or erratic: 40 → 53 ms on the
+    validate pair with only the rows ordered, and 42 → 360 ms on a line
+    mixture at n=1024 with both.
 
     When the row minima of the squared distances sit in pairwise distinct
     columns they already form an assignment, and their sum bounds every
@@ -296,7 +336,8 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
         )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("point arrays contain non-finite coordinates")
-    xc, yc = _centred(x), _centred(y)
+    z = _z_order(y)
+    xc, yc = _centred(x), _centred(y)[z]  # centred first: permuting first moves the mean's bits
     work = squared_distance_matrix(xc, yc)
     # A NaN or ±inf makes the max non-finite; distances are never negative.
     if not math.isfinite(float(work.max())):
@@ -311,6 +352,7 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
         work -= a[:, None]
         work -= b
         cols = linear_sum_assignment(work)[1]  # a square matrix's rows come back as arange(n)
+    cols = z[cols]
     return Plan(pi=cols, squared_cost_sum=float(_pair_costs(x, y, cols).sum()))
 
 
@@ -340,7 +382,9 @@ def exact_plan(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> Plan:
     Refuses to run above ``cap`` points, where the surrogate methods are the
     intended tool.  Peak memory is one n×n float64 buffer (8 MiB at n=1024),
     which holds the squared distances, then the warm start's kernel, then the
-    reduced costs.
+    reduced costs, with Y's points as the columns in Z-order; X keeps its row
+    order.  That order changes only the solver's time (about 43 → 31 ms on
+    validate-1k's pair), never which unique optimum comes back.
     The total is summed in row order from the original coordinates.  Which
     optimum comes back among ties is not contracted.
     """

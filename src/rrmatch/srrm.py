@@ -165,10 +165,15 @@ def finalize_hungarian(
     sources get the unused targets at minimum total squared cost, by
     :func:`~rrmatch.matching.hungarian` on the residual points: it centres each
     side on its own mean, which adds only row and column terms, so the optimal
-    assignments are unchanged and the solve was faster (3.2 to 2.0 s on a
-    residual of 1878 points), and it holds one r×r float64 buffer for a residual
-    of r points.  The cost is summed from the original coordinates.  Which
-    optimum comes back among ties is not contracted.  A residual whose squared
+    assignments are unchanged and the solve was faster, and it hands the
+    solver the unused targets in Z-order.  On a residual of 1878 points
+    (gaussian-pair t=0, n=32000, one anchor per point, 5 runs) the centring
+    took the completion from 3.2 to 2.0 s; measured again later, it read
+    1.5-1.8 s (median 1.54 s) with the Z-order against 1.3-1.9 s (median
+    1.79 s) without, since clipped duplicates make ties, where the Z-order
+    gains least.  It holds one r×r float64 buffer for a residual of r
+    points.  The cost is summed from the original coordinates.  Which optimum
+    comes back among ties is not contracted.  A residual whose squared
     distances overflow float64 raises ``ValueError``.
     """
     X, Y = _check_pair(X, Y)

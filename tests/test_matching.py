@@ -31,6 +31,7 @@ from rrmatch.matching import (
     _TAG_VARIANT,
     RunVariant,
     _cycle_labels,
+    _z_order,
     exact_plan,
     exact_w2,
     hungarian,
@@ -414,7 +415,7 @@ class TestHungarian:
         s = math.sqrt(np.finfo(np.float64).max / 200.0)
         x, y = (s * np.vstack([rng.random((4, 2)), rng.random((2, 2)) + [10.0, 0.0]]) for _ in range(2))
         plan = hungarian(x, y)
-        cost = _centred_costs(x, y)
+        cost = _centred_costs(x, y)[:, _z_order(y)]  # the solver sees the targets in Z-order
         a = cost.min(axis=1)
         reduced = cost - a[:, None]
         reduced -= reduced.min(axis=0)
@@ -468,6 +469,9 @@ class TestHungarian:
         assert plan.squared_cost_sum == pytest.approx(
             plan_squared_cost(PointCloud(x), PointCloud(y), plan.pi), rel=1e-12
         )
+        # The same targets in another file order: an optimum of the same total.
+        p = np.random.default_rng(seed).permutation(n)
+        assert abs(hungarian(x, y[p]).squared_cost_sum - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("kind", ("random", "gaussian-pair", "ties", "constant", "spread"))
     def test_reduction_scales_with_the_costs(self, kind, solved):
@@ -484,11 +488,27 @@ class TestHungarian:
         x, y = _point_pair("gaussian-pair", 200, 5)
         hungarian(x, y)
         reduced = solved[0]
-        cost = _centred_costs(x, y)
+        cost = _centred_costs(x, y)[:, _z_order(y)]  # the solver sees the targets in Z-order
         rows, cols = linear_sum_assignment(cost)
         spread = cost.max() - cost.min()
         assert np.isfinite(reduced).all()
         assert np.abs(reduced[rows, cols]).max() <= 0.05 * spread
+
+    @pytest.mark.parametrize("pair", ("gaussian-pair", "validate-1k"))
+    def test_target_order_is_invisible(self, pair):
+        # Pairs with a unique optimum: the plan and its total keep their bits
+        # whatever order the targets come in.
+        if pair == "validate-1k":  # the pair test_plan_bytes_pinned solves
+            spec = generators.GeneratorSpec("gaussian-pair", n=1024, t=0.5, seed=17579876663566485232)
+            x, y = (cloud.coords for cloud in generators.gen(spec))
+        else:
+            x, y = _point_pair("gaussian-pair", 200, 9)
+        want = hungarian(x, y)
+        n = len(y)
+        for p in (np.random.default_rng(4).permutation(n), np.arange(n)[::-1], _z_order(y)):
+            plan = hungarian(x, y[p])
+            np.testing.assert_array_equal(p[plan.pi], want.pi)
+            assert plan.squared_cost_sum == want.squared_cost_sum
 
 
 def _point_pair(kind, n, seed):
@@ -545,10 +565,11 @@ class TestExactPlan:
         rng = np.random.default_rng(20)
         x, y = rng.random((16, 2)), rng.random((16, 2))
         exact_plan(PointCloud(x), PointCloud(y + 100.0))
+        z = _z_order(y + 100.0)  # the targets reach the solver in Z-order
         assert len(seen) == 2  # the distances, and again after the warm start
         for got_x, got_y in seen:
             np.testing.assert_allclose(got_x, x - x.mean(axis=0), rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got_y, y - y.mean(axis=0), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(got_y, (y - y.mean(axis=0))[z], rtol=1e-9, atol=1e-12)
 
     def test_plan_bytes_pinned(self):
         # The pair validate-1k solves at seed 1 (bench/workloads.py:
@@ -580,6 +601,49 @@ class TestExactPlan:
             tracemalloc.stop()
         assert calls == [(n, n)] * 2  # the warm start and the solver ran
         assert peak <= 1.25 * n * n * 8
+
+
+class TestZOrder:
+    @staticmethod
+    def _check(points):
+        z = _z_order(points)
+        assert z.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(z), np.arange(len(points)))
+        np.testing.assert_array_equal(_z_order(points.copy()), z)
+        return z
+
+    def test_one_point(self):
+        np.testing.assert_array_equal(self._check(np.array([[3.5, -1.0]])), [0])
+
+    def test_one_dim_is_sorted_order(self):
+        x = np.random.default_rng(30).permutation(50).astype(np.float64)[:, None]
+        np.testing.assert_array_equal(self._check(x), np.argsort(x[:, 0], kind="stable"))
+
+    def test_constant_axis_maps_to_zero(self):
+        free = np.random.default_rng(31).permutation(40).astype(np.float64)
+        np.testing.assert_array_equal(self._check(np.column_stack([np.full(40, 7.0), free])), np.argsort(free))
+        np.testing.assert_array_equal(self._check(np.full((9, 3), -2.0)), np.arange(9))
+
+    def test_interleaves_bits_axis_by_axis(self):
+        # A 4 x 4 grid: 0..3 quantise to 0b00..., 0b01..., 0b10..., 0b11...,
+        # so each point's key begins a1 b1 a0 b0 for its coordinates (a, b).
+        grid = np.array([(a, b) for a in range(4) for b in range(4)], dtype=np.float64)
+        key = [(a >> 1) << 3 | (b >> 1) << 2 | (a & 1) << 1 | (b & 1) for a, b in grid.astype(int)]
+        np.testing.assert_array_equal(self._check(grid[::-1]), np.argsort(key[::-1]))
+
+    def test_extreme_scales(self):
+        # The overflow-scale pair of test_mean_overflow_keeps_min_reductions,
+        # and a spread past the float64 maximum; nothing overflows.
+        rng = np.random.default_rng(23)
+        s = math.sqrt(np.finfo(np.float64).max / 200.0)
+        big = np.finfo(np.float64).max
+        with np.errstate(all="raise"):
+            self._check(s * np.vstack([rng.random((4, 2)), rng.random((2, 2)) + [10.0, 0.0]]))
+            np.testing.assert_array_equal(self._check(np.array([[big], [-big], [0.0]])), [1, 2, 0])
+
+    def test_many_axes_use_one_bit_each(self):
+        points = np.random.default_rng(32).random((30, 70))
+        self._check(points)
 
 
 class TestExactW2:
