@@ -91,21 +91,19 @@ def _load_pair(file_x: str, file_y: str, fmt: str | None) -> tuple[PointCloud, P
     return _check_pair(load_point_cloud(file_x, fmt), load_point_cloud(file_y, fmt))
 
 
-def _maybe_normalize(X: PointCloud, Y: PointCloud, mode: str) -> tuple[PointCloud, PointCloud]:
-    if mode == "none":
-        return X, Y
-    return normalize_unit_box(X, Y, mode)
+def _solve(
+    method: str, X0: PointCloud, Y0: PointCloud, args: argparse.Namespace, normalize: str
+) -> tuple[Plan, float, dict, dict]:
+    """Plan the stored pair under ``normalize`` and cost the plan on the stored pair.
 
-
-def _timed_plan(
-    method: str, X: PointCloud, Y: PointCloud, args: argparse.Namespace
-) -> tuple[Plan, dict, dict]:
-    """Plan on the (already normalized) pair, the method's parameter record,
-    and the record's ``timing`` (wall ms, timestamp).
-
-    Records keep everything that varies between identical runs under
-    ``timing``, so the rest of a record compares byte for byte.
+    Returns the plan, its squared-cost sum on ``X0`` and ``Y0``, the method's
+    parameter record and the record's ``timing`` (wall ms, timestamp).  A plan
+    is an index map, so every reported cost is on the stored clouds whatever
+    the frame the method planned in.  Records keep everything that varies
+    between identical runs under ``timing``, so the rest of a record compares
+    byte for byte.
     """
+    X, Y = (X0, Y0) if normalize == "none" else normalize_unit_box(X0, Y0, normalize)
     t0 = time.perf_counter()
     if method == "rrm":
         plan, params = rrm_plan(X, Y), {}
@@ -124,7 +122,8 @@ def _timed_plan(
         cap = _exact_cap(args)
         plan, params = exact_plan(X, Y, cap), {"cap": cap}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return plan, params, {"wall_ms": wall_ms, "timestamp": time.time()}
+    cost = plan_squared_cost(X0, Y0, plan.pi)
+    return plan, cost, params, {"wall_ms": wall_ms, "timestamp": time.time()}
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +157,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
-    X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    plan, params, timing = _timed_plan(args.method, X, Y, args)
+    X, Y = _load_pair(args.fileX, args.fileY, args.format)
+    plan, cost, params, timing = _solve(args.method, X, Y, args, args.normalize)
     record = {
         "command": "distance",
         "method": args.method,
-        "value": plan.rms,
+        "value": math.sqrt(cost / plan.n),
         "n": X.n,
         "d": X.d,
         "seed": args.seed,
@@ -177,11 +175,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    X0, Y0 = _load_pair(args.fileX, args.fileY, args.format)
-    X, Y = _maybe_normalize(X0, Y0, args.normalize)
-    plan, params, timing = _timed_plan(args.method, X, Y, args)
-    # Cost is reported in the file coordinates so it can be re-derived from them.
-    cost = plan_squared_cost(X0, Y0, plan.pi)
+    X, Y = _load_pair(args.fileX, args.fileY, args.format)
+    plan, cost, params, timing = _solve(args.method, X, Y, args, args.normalize)
     out = Path(args.out)
     out.write_text("".join(f"{i},{int(t)}\n" for i, t in enumerate(plan.pi)), encoding="utf-8")
     sidecar = {
@@ -211,10 +206,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     current = X.coords.copy()
     for it in range(args.iterations):
         cx = PointCloud(current)
-        cxn, yn = _maybe_normalize(cx, Y, args.normalize)
-        plan, _, _ = _timed_plan(args.method, cxn, yn, args)
-        value = math.sqrt(plan_squared_cost(cx, Y, plan.pi) / plan.n)
-        record = {"iter": it, "value": value}
+        plan, cost, _, _ = _solve(args.method, cx, Y, args, args.normalize)
+        record = {"iter": it, "value": math.sqrt(cost / plan.n)}
         snapshot = it % args.snapshot_every == 0
         # The exact reference is solved where a snapshot is kept and at the end.
         if X.n <= cap and (snapshot or it == args.iterations - 1):
@@ -251,10 +244,11 @@ def cmd_plateau(args: argparse.Namespace) -> int:
             X, Y = gen(dataclasses.replace(grid_spec, seed=cell_seed))
             # One exact solve per cell gives both the exact_w2 field and,
             # when requested, the exact method's record.
-            solved = {"exact": _timed_plan("exact", X, Y, args)} if X.n <= cap else {}
-            exact_value = solved["exact"][0].rms if solved else None
+            solved = {"exact": _solve("exact", X, Y, args, "none")} if X.n <= cap else {}
+            exact_value = math.sqrt(solved["exact"][1] / X.n) if solved else None
             for method in args.methods:
-                plan, params, timing = solved.get(method) or _timed_plan(method, X, Y, args)
+                solve = solved.get(method) or _solve(method, X, Y, args, "none")
+                plan, cost, params, timing = solve
                 report = plateau_decomposition(
                     X, Y, plan, LastMileParams(depth=diag_depth, d=X.d)
                 )
@@ -265,7 +259,7 @@ def cmd_plateau(args: argparse.Namespace) -> int:
                         "grid_value": g,
                         "rep": rep,
                         "method": method,
-                        "value": plan.rms,
+                        "value": math.sqrt(cost / X.n),
                         "exact_w2": exact_value,
                         "n": X.n,
                         "d": X.d,
@@ -296,7 +290,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
                 "command": "converge",
                 "kind": "anchored-summary",
                 "d": args.d,
-                "slope": result.slope,
+                # One size fits no slope; JSON has no NaN.
+                "slope": result.slope if math.isfinite(result.slope) else None,
                 "theory_exponent": result.theory_exponent,
                 "reps": args.reps,
                 "seed": args.seed,
@@ -438,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         # match's --out names the permutation CSV.
         _add_io(p, table=False, out_required=name == "match")
         p.add_argument("--method", choices=METHODS, default="srrm")
-        p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint")
+        p.add_argument("--normalize", choices=("joint", "per-cloud", "none"), default="joint",
+                       help="frame the method plans in; every reported cost is on the stored "
+                            "clouds, and the joint map (one translation, one scale) changes only "
+                            "srrm's plan, through its anchors' clip to the unit box")
         _add_matcher_params(p)
 
     p = parsers["flow"]

@@ -209,15 +209,16 @@ def plan_squared_cost(X: PointCloud, Y: PointCloud, pi: np.ndarray) -> float:
 
 
 def _to_unit_box(coords: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-    """Map coords by the per-axis affine map taking ``fitted``'s range onto [0, 1].
+    """Map coords by one translation and one scale: ``fitted``'s lower corner
+    goes to the origin and its widest axis range to [0, 1].
 
     Axes on which ``fitted`` is constant map to 0.5.
     """
     lo = fitted.min(axis=0)
-    scale = fitted.max(axis=0) - lo
-    degenerate = scale == 0.0
-    out = (coords - lo) / np.where(degenerate, 1.0, scale)
-    out[:, degenerate] = 0.5
+    extent = fitted.max(axis=0) - lo
+    scale = extent.max()
+    out = (coords - lo) / (scale if scale > 0.0 else 1.0)
+    out[:, extent == 0.0] = 0.5
     return out
 
 
@@ -228,11 +229,15 @@ def normalize_unit_box(
 ) -> tuple[PointCloud, PointCloud]:
     """Rescale both clouds into the unit box [0, 1]^d.
 
-    In ``joint`` mode a single per-axis affine map is fitted on the union of
-    both clouds and applied to each, preserving the relative geometry the
-    distance depends on.  In ``per-cloud`` mode each cloud is fitted and mapped
-    independently (replication studies only).  Degenerate axes map to 0.5.
-    Plans are index maps, so they carry over to the original clouds unchanged.
+    Each fit is mapped by one translation and one scale, the scale being the
+    fit's widest axis range, so the widest axis spans [0, 1] and the others
+    start at 0 and keep their proportions.  In ``joint`` mode one map is fitted
+    on the union of both clouds and applied to each, so every distance between
+    any two points shrinks by the same factor and the relative geometry the
+    distance depends on is kept.  In ``per-cloud`` mode each cloud is fitted
+    and mapped independently (replication studies only).  Axes on which a fit
+    is constant map to 0.5.  Plans are index maps, so they carry over to the
+    original clouds unchanged.
     """
     X, Y = _check_pair(X, Y, equal_size=False)
     if mode == "joint":

@@ -359,7 +359,7 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
 def squared_distance_matrix(
     X: PointCloud | np.ndarray, Y: PointCloud | np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at zero in place.
+    """Pairwise squared Euclidean distances.
 
     With ``out``, a C-contiguous float64 array of shape (len(X), len(Y)),
     the distances are written there and ``out`` is returned.  Coordinate
@@ -372,8 +372,8 @@ def squared_distance_matrix(
 
     x = X.coords if isinstance(X, PointCloud) else X
     y = Y.coords if isinstance(Y, PointCloud) else Y
-    d2 = cdist(x, y, "sqeuclidean", out=out)
-    return np.maximum(d2, 0.0, out=d2)
+    # SciPy sums squared differences, so no entry is ever negative.
+    return cdist(x, y, "sqeuclidean", out=out)
 
 
 def exact_plan(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> Plan:

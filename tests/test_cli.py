@@ -133,6 +133,40 @@ class TestDistance:
         assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 
+@pytest.fixture()
+def anisotropic_files(tmp_path):
+    """A 64-point pair whose x range is 10 and y range 1, and its two clouds."""
+    rng = np.random.default_rng(12)
+    X = PointCloud(rng.random((64, 2)) * [10.0, 1.0])
+    Y = PointCloud(rng.random((64, 2)) * [10.0, 1.0] + [0.5, 0.0])
+    x, y = tmp_path / "ax.pcf", tmp_path / "ay.pcf"
+    save_point_cloud(X, x)
+    save_point_cloud(Y, y)
+    return x, y, X, Y
+
+
+class TestStoredFrame:
+    """Every reported cost is the plan's cost on the stored clouds."""
+
+    @pytest.mark.parametrize("normalize", ["joint", "per-cloud", "none"])
+    def test_distance_is_match_rms(self, anisotropic_files, tmp_path, capsys, normalize):
+        x, y, _, _ = anisotropic_files
+        out = tmp_path / "plan.csv"
+        for method in ("rrm", "merged", "srrm", "exact"):
+            flags = ("--method", method, "--seed", 3, "--R", 2, "--normalize", normalize)
+            assert run("distance", x, y, *flags) == 0
+            value = json.loads(capsys.readouterr().out)["value"]
+            assert run("match", x, y, *flags, "--out", out) == 0
+            sidecar = json.loads((tmp_path / "plan.csv.json").read_text())
+            assert value == sidecar["rms"], (method, value, sidecar["rms"])
+
+    def test_joint_exact_is_exact_w2_of_stored_clouds(self, anisotropic_files, capsys):
+        x, y, X, Y = anisotropic_files
+        assert run("distance", x, y, "--method", "exact") == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(exact_w2(X, Y),
+                                                                            rel=1e-12)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", [
         (("plateau", "--family", "line-mixture", "--grid", "a,b"), "--grid"),
@@ -364,6 +398,16 @@ class TestConvergeCommand:
         records = read_jsonl(out)
         assert records[-1]["kind"] == "anchored-summary"
         assert records[-1]["theory_exponent"] == -0.125
+
+    def test_one_size_writes_null_slope(self, capsys):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        assert run("converge", "--kind", "anchored", "--n-list", "256", "--reps", 2) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert records[-1]["kind"] == "anchored-summary"
+        assert records[-1]["slope"] is None
 
     def test_thresholds_deterministic(self, tmp_path, capsys):
         outputs = []

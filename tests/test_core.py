@@ -127,11 +127,12 @@ class TestPlan:
 
 class TestNormalize:
     def test_joint_two_point_example(self):
+        # The union spans [2, 4] x [4, 8]: one scale, the widest range 4.
         X = PointCloud(np.array([[2.0, 4.0], [4.0, 8.0]]))
         Y = PointCloud(np.array([[3.0, 6.0], [2.0, 4.0]]))
         Xn, Yn = normalize_unit_box(X, Y, "joint")
-        np.testing.assert_allclose(Xn.coords, [[0.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_allclose(Yn.coords, [[0.5, 0.5], [0.0, 0.0]])
+        np.testing.assert_allclose(Xn.coords, [[0.0, 0.0], [0.5, 1.0]])
+        np.testing.assert_allclose(Yn.coords, [[0.25, 0.5], [0.0, 0.0]])
 
     def test_degenerate_axis_maps_to_center(self):
         X = PointCloud(np.array([[7.0]]))
@@ -139,15 +140,19 @@ class TestNormalize:
         assert Xn.coords[0, 0] == 0.5 and Yn.coords[0, 0] == 0.5
 
     def test_uniform_box_attains_bounds(self):
-        # Oracle: direct min/max of the joint input.
+        # Oracle: direct min/max of the joint input.  Every axis starts at 0;
+        # the widest spans [0, 1], the others their share of its range.
         rng = np.random.default_rng(11)
         X = PointCloud(rng.uniform(-5, 5, (100, 2)))
         Y = PointCloud(rng.uniform(-5, 5, (100, 2)))
         Xn, Yn = normalize_unit_box(X, Y, "joint")
         both = np.vstack([Xn.coords, Yn.coords])
+        raw = np.vstack([X.coords, Y.coords])
+        extent = raw.max(axis=0) - raw.min(axis=0)
         assert (both >= 0).all() and (both <= 1).all()
         np.testing.assert_allclose(both.min(axis=0), 0.0, atol=1e-15)
-        np.testing.assert_allclose(both.max(axis=0), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(both.max(axis=0), extent / extent.max(), rtol=1e-15)
+        assert both.max() == 1.0
 
     def test_joint_idempotent_on_normalized_data(self):
         rng = np.random.default_rng(4)
@@ -163,9 +168,31 @@ class TestNormalize:
         X = PointCloud(rng.uniform(0, 1, (30, 2)))
         Y = PointCloud(rng.uniform(10, 20, (30, 2)))
         Xn, Yn = normalize_unit_box(X, Y, "per-cloud")
-        for cloud in (Xn, Yn):
+        for raw, cloud in ((X, Xn), (Y, Yn)):
+            extent = raw.coords.max(axis=0) - raw.coords.min(axis=0)
             np.testing.assert_allclose(cloud.coords.min(axis=0), 0.0, atol=1e-12)
-            np.testing.assert_allclose(cloud.coords.max(axis=0), 1.0, rtol=1e-12)
+            np.testing.assert_allclose(cloud.coords.max(axis=0), extent / extent.max(), rtol=1e-12)
+            assert cloud.coords.max() == 1.0
+
+    def test_joint_scales_every_distance_by_one_factor(self):
+        # An x range 10 times the y range: a per-axis map would stretch y tenfold.
+        rng = np.random.default_rng(6)
+        X = PointCloud(rng.random((40, 2)) * [10.0, 1.0] + [3.0, -7.0])
+        Y = PointCloud(rng.random((40, 2)) * [10.0, 1.0] + [3.5, -7.0])
+        Xn, Yn = normalize_unit_box(X, Y, "joint")
+        raw = np.vstack([X.coords, Y.coords])
+        scale = (raw.max(axis=0) - raw.min(axis=0)).max()
+        for a, b, an, bn in ((X, Y, Xn, Yn), (X, X, Xn, Xn), (Y, Y, Yn, Yn)):
+            d = np.linalg.norm(a.coords[:, None] - b.coords[None], axis=2)
+            dn = np.linalg.norm(an.coords[:, None] - bn.coords[None], axis=2)
+            np.testing.assert_allclose(dn * scale, d, rtol=1e-12, atol=1e-12)
+
+    def test_constant_axis_maps_to_center(self):
+        X = PointCloud(np.array([[0.0, 2.0], [4.0, 2.0]]))
+        Y = PointCloud(np.array([[1.0, 2.0], [3.0, 2.0]]))
+        Xn, Yn = normalize_unit_box(X, Y, "joint")
+        np.testing.assert_array_equal(Xn.coords, [[0.0, 0.5], [1.0, 0.5]])
+        np.testing.assert_array_equal(Yn.coords, [[0.25, 0.5], [0.75, 0.5]])
 
 
 class TestIO:
