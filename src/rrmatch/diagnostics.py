@@ -366,6 +366,8 @@ def convergence_experiment(
     The uniform density has contraction factor rho = 1/2, hence a Holder
     exponent of 1/d and a theoretical decay exponent of -min(1/(2d), 1/4);
     the fitted slope may be steeper since the rate is an upper bound.
+    The slope is fitted only when ``n_list`` holds at least two distinct
+    sizes; otherwise no slope exists and it is NaN.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -379,7 +381,7 @@ def convergence_experiment(
         rows.append((int(n), float(values.mean()), float(values.std(ddof=1) if reps > 1 else 0.0)))
     means = np.array([r[1] for r in rows])
     ns = np.array([r[0] for r in rows], dtype=np.float64)
-    slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0]) if len(rows) > 1 else float("nan")
+    slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0]) if np.unique(ns).size > 1 else float("nan")
     alpha = 1.0 / d
     return ConvergenceResult(
         rows=tuple(rows),

@@ -183,8 +183,9 @@ def finalize_hungarian(
     rows = np.flatnonzero(~committed)
     if rows.size > cap:
         raise CapExceededError(
-            f"residual assignment of size {rows.size} exceeds cap {cap}; "
-            "run more screening rounds or raise the cap"
+            f"residual assignment of size {rows.size} exceeds cap {cap}; its exact solve "
+            f"needs a {rows.size}x{rows.size} float64 buffer ({rows.size**2 * 8 / 2**20:.1f} MiB): "
+            "raise SrrmConfig.hungarian_cap (CLI --cap) to allow it"
         )
     if rows.size:
         cols = np.setdiff1d(np.arange(X.n), pi[committed], assume_unique=True)

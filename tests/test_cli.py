@@ -121,6 +121,12 @@ class TestDistance:
         save_point_cloud(PointCloud(rng.random((32, 2))), b)
         assert run("distance", a, b, "--method", "exact", "--cap", 16) == 4
 
+    def test_srrm_residual_over_cap_exits_4_naming_the_setting(self, pair_files, capsys):
+        x, y = pair_files
+        assert run("distance", x, y, "--method", "srrm", "--R", 1, "--cap", 2) == 4
+        err = capsys.readouterr().err
+        assert "float64 buffer" in err and "hungarian_cap (CLI --cap)" in err
+
     def test_byte_deterministic_modulo_timing(self, pair_files, capsys):
         x, y = pair_files
         records = []
@@ -407,6 +413,13 @@ class TestConvergeCommand:
         lines = capsys.readouterr().out.splitlines()
         records = [json.loads(line, parse_constant=reject) for line in lines]
         assert records[-1]["kind"] == "anchored-summary"
+        assert records[-1]["slope"] is None
+
+    def test_repeated_size_writes_null_slope(self, capsys):
+        # Two rows at one size: no slope exists, so none is fitted through them.
+        assert run("converge", "--kind", "anchored", "--n-list", "256,256", "--reps", 2) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["n"] for r in records[:-1]] == [256, 256]
         assert records[-1]["slope"] is None
 
     def test_thresholds_deterministic(self, tmp_path, capsys):

@@ -300,6 +300,10 @@ class TestExperiments:
         res = convergence_experiment(4, [64, 128], reps=1, seed=0)
         assert res.theory_exponent == -0.125  # -min(1/(2d), 1/4) at d=4
 
+    def test_repeated_size_fits_no_slope(self):
+        res = convergence_experiment(1, [64, 64], reps=2, seed=0)
+        assert len(res.rows) == 2 and math.isnan(res.slope)
+
     def test_convergence_deterministic(self):
         a = convergence_experiment(1, [128, 256], reps=2, seed=5)
         b = convergence_experiment(1, [128, 256], reps=2, seed=5)

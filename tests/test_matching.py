@@ -494,6 +494,49 @@ class TestHungarian:
         assert np.isfinite(reduced).all()
         assert np.abs(reduced[rows, cols]).max() <= 0.05 * spread
 
+    def test_non_finite_scalings_keep_min_reductions(self, solved, monkeypatch):
+        # An absurd relaxation factor drives the scalings out of (0, inf) in
+        # the first pass; the warm start then keeps the min-reductions.
+        monkeypatch.setattr(matching, "_WARM_OMEGA", 50.0)
+        x, y = _point_pair("gaussian-pair", 60, 8)
+        plan = hungarian(x, y)
+        cost = _centred_costs(x, y)[:, _z_order(y)]
+        reduced = cost - cost.min(axis=1)[:, None]
+        reduced -= reduced.min(axis=0)
+        assert len(solved) == 1
+        assert np.isfinite(solved[0]).all()
+        np.testing.assert_array_equal(solved[0], reduced)
+        plain = squared_distance_matrix(x, y)
+        want = plain[linear_sum_assignment(plain)].sum()
+        assert abs(plan.squared_cost_sum - want) <= 1e-12 * want
+
+    def test_unique_optimum_plans_pinned(self, solved):
+        # Pairs of every family with no repeated point, so each has one
+        # optimum; the digest of the plans and their totals was taken before
+        # the warm start's passes were over-relaxed, and any warm start must
+        # keep it.
+        digest = hashlib.sha256()
+        pairs = (
+            ("gaussian-pair", {"t": 0.5}),
+            ("line-mixture", {"frac_bads": 0.5}),
+            ("opening-angle", {"delta": 0.3}),
+            ("perturbed-copy", {"d": 2, "alpha": 0.05}),
+            ("perturbed-copy", {"d": 3, "alpha": 0.05}),
+            ("uniform-box", {}),
+        )
+        for family, params in pairs:
+            for seed in (0, 1):
+                X, Y = generators.gen(generators.GeneratorSpec(family, n=256, seed=seed, **params))
+                if Y is None:
+                    Y, _ = generators.gen(generators.GeneratorSpec(family, n=256, seed=seed + 100))
+                for cloud in (X, Y):
+                    assert len(np.unique(cloud.coords, axis=0)) == 256
+                plan = hungarian(X.coords, Y.coords)
+                digest.update(plan.pi.tobytes())
+                digest.update(np.float64(plan.squared_cost_sum).tobytes())
+        assert len(solved) == 12  # every pair went through the warm start and the solver
+        assert digest.hexdigest() == "07204c6578d02093e412f98acd48888c965d80fb3dd052a8426a70f12387cb0a"
+
     @pytest.mark.parametrize("pair", ("gaussian-pair", "validate-1k"))
     def test_target_order_is_invisible(self, pair):
         # Pairs with a unique optimum: the plan and its total keep their bits

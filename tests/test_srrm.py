@@ -205,11 +205,17 @@ class TestFinalize:
             finalize_hungarian(X, Y, np.array(partial))
 
     def test_cap(self):
+        # The message names the buffer the solve would need and the setting
+        # that allows it; the check runs before any buffer is built.
         rng = np.random.default_rng(9)
-        X = PointCloud(rng.random((6, 2)))
-        Y = PointCloud(rng.random((6, 2)))
-        with pytest.raises(CapExceededError, match="rounds"):
-            finalize_hungarian(X, Y, np.full(6, UNASSIGNED), cap=5)
+        X = PointCloud(rng.random((1024, 2)))
+        Y = PointCloud(rng.random((1024, 2)))
+        with pytest.raises(
+            CapExceededError,
+            match=r"size 1024 exceeds cap 1000; its exact solve needs a 1024x1024 float64 buffer "
+            r"\(8\.0 MiB\): raise SrrmConfig\.hungarian_cap \(CLI --cap\)",
+        ):
+            finalize_hungarian(X, Y, np.full(1024, UNASSIGNED), cap=1000)
 
     def test_overflowing_residual_is_named(self):
         rng = np.random.default_rng(11)
@@ -328,7 +334,7 @@ class TestSrrmMatch:
         Y = PointCloud(rng.random((64, 2)))
         probe = srrm_match(X, Y, SrrmConfig(rounds=1, anchors_per_point=4, merge_runs=3, seed=5))
         assert probe.residual > 0
-        with pytest.raises(CapExceededError, match="rounds"):
+        with pytest.raises(CapExceededError, match="hungarian_cap"):
             srrm_match(
                 X,
                 Y,
