@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rrmatch import generators, matching
 from rrmatch.core import (
@@ -29,6 +32,8 @@ from rrmatch.core import (
 )
 from rrmatch.matching import (
     _TAG_VARIANT,
+    _WALK_MIN_N,
+    _WALK_STRIDE,
     RunVariant,
     _cycle_labels,
     _z_order,
@@ -217,6 +222,20 @@ def cycle_labels_reference(tau):
     return labels
 
 
+def scipy_cycle_labels(tau):
+    """SciPy's strong components of i -> tau[i], the labelling below the walk's threshold."""
+    n = tau.size
+    graph = csr_matrix((np.ones(n), tau, np.arange(n + 1)), shape=(n, n))
+    return connected_components(graph, connection="strong")[1].astype(np.int64)
+
+
+def assert_same_partition(labels, reference):
+    """Both labellings put the same indices together, whatever their numbers."""
+    labels, reference = np.asarray(labels).tolist(), np.asarray(reference).tolist()
+    pairs = set(zip(labels, reference))
+    assert len(pairs) == len(set(labels)) == len(set(reference))
+
+
 class TestCycleLabels:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_identity_gives_one_cycle_per_index(self, n):
@@ -239,7 +258,88 @@ class TestCycleLabels:
         for tau in taus:
             labels = _cycle_labels(tau)
             assert labels.dtype == np.int64
-            assert labels.tolist() == cycle_labels_reference(tau)
+            assert_same_partition(labels, cycle_labels_reference(tau))
+
+
+class TestWalkLabels:
+    """From _WALK_MIN_N points on, cycles are labelled by the splitter walk."""
+
+    def _check(self, tau):
+        labels = _cycle_labels(tau)
+        assert labels.dtype == np.int64
+        assert 0 <= labels.min() and labels.max() < tau.size
+        assert_same_partition(labels, cycle_labels_reference(tau))
+        assert_same_partition(labels, scipy_cycle_labels(tau))
+
+    @pytest.mark.parametrize("n", [_WALK_MIN_N, 2**16 + 1])
+    def test_identity(self, n):
+        self._check(np.arange(n))
+
+    @pytest.mark.parametrize("n", [_WALK_MIN_N, 2**16 + 1])
+    def test_single_n_cycle(self, n):
+        self._check(np.roll(np.arange(n), -1))
+
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    def test_random_permutations(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            self._check(rng.permutation(n))
+
+    def test_near_identity(self):
+        rng = np.random.default_rng(31)
+        n = 2**16
+        tau = np.arange(n)
+        moved = rng.choice(n, size=2000, replace=False)
+        tau[moved] = rng.permutation(moved)
+        assert (tau == np.arange(n)).sum() > 60000
+        self._check(tau)
+
+    def test_cycles_that_avoid_every_splitter(self):
+        rng = np.random.default_rng(32)
+        n = 2**16
+        tau = np.arange(n)
+        free = np.flatnonzero(tau % _WALK_STRIDE != 0)
+        tau[free] = rng.permutation(free)
+        self._check(tau)
+        # Splitter-free cycles below n/2, cycles through splitters above it.
+        low, high = free[free < n // 2], np.arange(n // 2, n)
+        tau = np.arange(n)
+        tau[low], tau[high] = rng.permutation(low), rng.permutation(high)
+        self._check(tau)
+
+    def test_long_gap_exhausts_the_walk_and_doubles_the_whole_permutation(self, monkeypatch):
+        # One n-cycle through every non-splitter before it reaches a splitter.
+        n = 2**16
+        idx = np.arange(n)
+        order = np.concatenate([idx[idx % _WALK_STRIDE != 0], idx[idx % _WALK_STRIDE == 0]])
+        tau = np.empty(n, dtype=np.int64)
+        tau[order] = np.roll(order, -1)
+        doubled = []
+        min_index_labels = matching._min_index_labels
+
+        def spy(nxt):
+            doubled.append(nxt.size)
+            return min_index_labels(nxt)
+
+        monkeypatch.setattr(matching, "_min_index_labels", spy)
+        start = time.perf_counter()
+        labels = _cycle_labels(tau)
+        elapsed = time.perf_counter() - start
+        assert doubled == [n]
+        assert_same_partition(labels, np.zeros(n, dtype=np.int64))
+        # About 7 ms on a 2-vCPU Xeon; a walk without its step budget takes
+        # about n steps of Python-level loop.
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [2**16, 2**17])
+    def test_merged_plans_match_scipy_labelling(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        X, Y = _random_pair(rng, n, 2)
+        walked = merged_rrm(X, Y, 4, seed=2)
+        monkeypatch.setattr(matching, "_cycle_labels", scipy_cycle_labels)
+        reference = merged_rrm(X, Y, 4, seed=2)
+        np.testing.assert_array_equal(walked.pi, reference.pi)
+        assert walked.squared_cost_sum == reference.squared_cost_sum
 
 
 class TestMergePair:
@@ -828,13 +928,14 @@ class TestRunVariant:
 
 
 #: Runs in a fresh interpreter: imports the package and the CLI, makes one
-#: merged plan, then calls the entry point named by argv[1]; prints which of
-#: the watched SciPy modules were loaded after each step.
+#: merged plan of argv[1] points, then calls the entry points named by the
+#: rest of argv; prints which of the watched SciPy modules were loaded after
+#: each step.
 _IMPORT_PROBE = """
 import json, sys
 import numpy as np
 
-WATCHED = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")
+WATCHED = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.sparse.csgraph")
 
 def loaded():
     return sorted(m for m in WATCHED if m in sys.modules)
@@ -843,30 +944,45 @@ steps = {}
 import rrmatch, rrmatch.cli
 steps["import"] = loaded()
 rng = np.random.default_rng(0)
-X, Y = rrmatch.PointCloud(rng.random((64, 2))), rrmatch.PointCloud(rng.random((64, 2)))
+n = int(sys.argv[1])
+X, Y = rrmatch.PointCloud(rng.random((n, 2))), rrmatch.PointCloud(rng.random((n, 2)))
 rrmatch.merged_rrm(X, Y, 3, seed=0)
 steps["merged"] = loaded()
-getattr(rrmatch, sys.argv[1])(X, Y)
+for entry in sys.argv[2:]:
+    getattr(rrmatch, entry)(X, Y)
 steps["then"] = loaded()
 print(json.dumps(steps))
 """
 
 
+def _probe_imports(*args):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestScipyImports:
-    """The rrm and merged paths load no assignment solver and no k-d tree."""
+    """Importing the package loads none of the watched SciPy modules.
+
+    A small merged plan loads SciPy's graph routines for its cycle labels; a
+    merged plan of at least ``_WALK_MIN_N`` points loads none.
+    """
 
     @pytest.mark.parametrize(
         "entry, loads", [("exact_w2", "scipy.optimize"), ("srrm_match", "scipy.spatial")]
     )
     def test_loaded_at_first_use(self, entry, loads):
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, entry],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        steps = json.loads(proc.stdout.splitlines()[-1])
-        assert steps["import"] == ["scipy.sparse.csgraph"]
-        assert steps["merged"] == ["scipy.sparse.csgraph"]
+        steps = _probe_imports("64", entry)
+        assert steps["import"] == []
+        assert steps["merged"] == ["scipy.sparse", "scipy.sparse.csgraph"]
         assert loads in steps["then"]
+
+    def test_large_merged_plan_loads_no_scipy_sparse(self):
+        steps = _probe_imports(str(2**16))
+        assert steps["import"] == []
+        assert steps["merged"] == []
