@@ -73,14 +73,11 @@ def _assert_same_thresholds(got, want):
                        np.array([m for *_, m in want], dtype=np.float64))
 
 
-def _assert_order_of(order, codes, depth):
-    """``order`` walks the leaves in address order; at full depth it sorts the codes."""
+def _assert_order_of(order, codes, depth, coords):
+    """``order`` walks the leaves in address order, and each leaf in stable
+    order along its last split axis ``(depth - 1) % d``."""
     assert order.dtype == np.int64
-    np.testing.assert_array_equal(np.sort(order), np.arange(codes.size))
-    walked = codes[order]
-    assert (walked[1:] >= walked[:-1]).all()
-    if depth >= full_depth(codes.size):
-        _assert_same_bytes(order, np.argsort(codes, kind="stable"))
+    _assert_same_bytes(order, np.lexsort((coords[:, (depth - 1) % coords.shape[1]], codes)))
 
 
 def _assert_matches_reference(coords, depth):
@@ -90,7 +87,7 @@ def _assert_matches_reference(coords, depth):
     ref_codes, ref_thresholds = lexsort_build_tree(coords, depth)
     _assert_same_bytes(codes, ref_codes)
     _assert_same_thresholds(split_thresholds(X, depth), ref_thresholds)
-    _assert_order_of(order, codes, depth)
+    _assert_order_of(order, codes, depth, coords)
 
 
 def _cell_counts(codes, depth, h):
@@ -112,10 +109,9 @@ def _tied_coords(kind, rng, n, d):
 
 
 @st.composite
-def tree_inputs(draw):
-    """Clouds with ties (duplicates, integer grids, clipping, signed zeros,
-    a constant column), column permutations, and depths 1..63."""
-    n = draw(st.integers(min_value=1, max_value=80))
+def tied_clouds(draw, n):
+    """n points with ties (duplicates, integer grids, clipping, signed zeros,
+    a constant column), their columns permuted."""
     d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -132,12 +128,32 @@ def tree_inputs(draw):
     else:
         coords = _tied_coords(kind, rng, n, d)
     # A column permutation changes which coordinate each level splits on.
-    coords = coords[:, draw(st.permutations(range(d)))]
+    return coords[:, draw(st.permutations(range(d)))]
+
+
+@st.composite
+def tree_inputs(draw):
+    """Tied clouds of 1..80 points and depths 1..63."""
+    n = draw(st.integers(min_value=1, max_value=80))
     depth = draw(st.one_of(
         st.integers(min_value=1, max_value=63),
         st.integers(min_value=1, max_value=full_depth(n) + 2),
     ))
-    return coords, depth
+    return draw(tied_clouds(n)), depth
+
+
+@st.composite
+def equal_cell_inputs(draw):
+    """Tied clouds of n = b * 2**k points, b at least the selection floor, so
+    levels 1..k hold equal cells that split by selection; depths whose last
+    level is one of those, or around full depth.  Rows above a few hundred
+    points are what numpy's partition leaves unsorted."""
+    # Sampled, not drawn as integers, which hypothesis biases towards small n.
+    k = draw(st.sampled_from(range(1, 8)))
+    b = draw(st.sampled_from(range(partition._SELECT_MIN_CELL, 65)))
+    n = b << k
+    depth = draw(st.sampled_from([*range(2, k + 2), full_depth(n) - 1, full_depth(n), full_depth(n) + 1]))
+    return draw(tied_clouds(n)), depth
 
 
 class TestBuildTree:
@@ -219,14 +235,40 @@ class TestBuildTree:
     def test_matches_lexsort_reference_byte_for_byte(self, case):
         _assert_matches_reference(*case)
 
+    @settings(max_examples=100, deadline=None)
+    @given(equal_cell_inputs())
+    def test_selection_levels_match_lexsort_reference(self, case):
+        _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("n, depth, sizes", [
+        # Levels 1..12 hold equal cells of 2**15 down to 16 points.
+        (2**16, full_depth(2**16), [2**p for p in range(15, 3, -1)]),
+        # No level of equal cells past level 0.
+        (2**15 + 3, full_depth(2**15 + 3), []),
+        # Level 4 is the build's last, so it keeps the keyed sort.
+        (2**16, 5, [2**15, 2**14, 2**13]),
+    ])
+    def test_selection_runs_on_equal_cells_but_not_the_last_level(self, monkeypatch, n, depth, sizes):
+        seen = []
+        select = np.partition
+
+        def counting(a, kth, axis):
+            seen.append(a.shape[1])
+            return select(a, kth, axis=axis)
+
+        monkeypatch.setattr(np, "partition", counting)
+        build_tree(np.random.default_rng(n).random((n, 2)), depth)
+        assert seen == sizes
+
     @pytest.mark.parametrize("depth", [1, 2, 63])
     def test_single_point_matches_lexsort_reference(self, depth):
         _assert_matches_reference(np.array([[0.3, 0.7]]), depth)
 
-    @pytest.mark.parametrize("n", [4097, 6000, 65536, 65537])
+    @pytest.mark.parametrize("n", [4097, 6000, 65536, 65537, 2**17])
     def test_matches_lexsort_reference_at_scale(self, n):
         # Wide rank fields, both key widths (2 * bits <= 32 and above), the
-        # tie repair, and the singleton skip over the two levels past full depth.
+        # tie repair, and the singleton skip over the two levels past full
+        # depth; 2**17 takes int64 ranks through the selection levels.
         coords = _tied_coords("clipped", np.random.default_rng(n), n, 3)
         _assert_matches_reference(coords, full_depth(n) + 2)
 
@@ -237,7 +279,7 @@ class TestBuildTree:
         for depth in sorted({1, max(1, full - 2), full, full + 1, MAX_DEPTH}):
             order = build_tree(coords, depth)
             codes = _addresses(order, depth)
-            _assert_order_of(order, codes, depth)
+            _assert_order_of(order, codes, depth, coords)
             assert codes.dtype == np.uint64 and int(codes.max()) < 2**depth
 
     def test_sort_key_packing_bound(self):
@@ -444,13 +486,25 @@ class TestTreeCurveOrder:
         # Y of a t=0 pair: about 300 coordinates per axis clipped to exactly 0.0.
         (GeneratorSpec("gaussian-pair", n=2000, t=0.0, seed=12), 1,
          "3520b49fe5befc31c159199bb0a94a8f05c96077a3b8b244f530402c96ba4e00"),
+        # The merged-uniform-64k shape: levels 1-12 hold equal cells and select.
+        (GeneratorSpec("uniform-box", n=2**16, d=2, seed=12), 0,
+         "6d117c8f1737dca2e87420daba56b67ca609a187b1a9f56bb91042107ef6262c"),
     ])
     def test_order_is_pinned(self, spec, which, digest):
         # Any change to the ordering kernel must keep this order.  Only the
         # unrotated clouds are pinned: rotations go through a BLAS-dependent QR.
+        # The digests are those of a build that sorts on every level.
         order = tree_curve_order(gen(spec)[which])
         assert order.dtype == np.int64
         assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_truncated_union_order_is_pinned(self):
+        # A pair's 2048-point union at depth 7, as plateau builds it: levels
+        # 1-5 select, and the last level sorts, so each leaf is in rank order.
+        X, Y = gen(GeneratorSpec("gaussian-pair", n=1024, t=0.5, seed=12))
+        order = build_tree(np.vstack([X.coords, Y.coords]), 7)
+        assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == (
+            "5aeca53e6c5ed3bad19cdfda1c53d1621ee6d9522483a2b0161a68733556ce7f")
 
     def test_copies_an_array_once_and_a_cloud_never(self, monkeypatch):
         made = []
