@@ -14,18 +14,8 @@ The stable sorts are integer sorts: each coordinate maps to an int64 key that
 orders like it, with the point's index in its low bits, so one SIMD sort ranks
 every axis a build splits.
 
-A level then splits its cells in one of two ways.  Where n is a multiple of
-2**h, every depth-h cell holds the same s = n / 2**h points, and a rank-median
-split only needs to know which half of its cell each point falls in: a
-selection (Hoare's FIND), one ``np.partition`` of the ranks viewed as
-(2**h, s) rows.  Any other level, cells below ``_SELECT_MIN_CELL`` points, and
-the build's last level (whose leaves must come out in rank order) run one
-integer sort of n packed (cell, rank) keys.  On 2**16 uniform points, d=2,
-levels 1-12 select, and one tree-curve ordering takes 0.72-0.74 of the time
-of a build that sorts every level (interleaved medians, 2-vCPU Xeon: 5.1
-against 7.0 ms in one run, 7.0 against 9.5 ms in another); 0.64 at 2**20,
-0.78 at d=3, 0.93 at n = 6000 (4 equal levels), and the same at 2**15 + 3
-or 2**16 + 1, which have none.
+A level whose cells all hold the same number of points splits them by a
+selection rather than a sort; :func:`build_tree` describes both kinds of level.
 
 Because every split is at the rank median, the cell layout (the sizes and
 paths of the cells at every level, and which sorted positions each holds)
@@ -51,11 +41,11 @@ from rrmatch.core import PointCloud, _as_cloud
 MAX_DEPTH = 63
 
 #: Smallest cell size a level of equal-size cells splits by selection rather
-#: than by the keyed sort (:func:`build_tree`).  On one ordering of 2**16
-#: uniform points, d=2 (2-vCPU Xeon), floors of 4, 8, 16, 32, 64 and 128 took
-#: 6.8, 6.3, 6.5, 6.7, 6.9 and 7.0 ms, and no selection at all 8.8 ms; a
-#: row-wise selection of cells of 8 points lost to the full sort, 231
-#: against about 190 us per level.
+#: than by the keyed sort (:func:`build_tree`).  Per level of 2**16 uniform
+#: points (2-vCPU Xeon), the row-wise selection beats the sort on cells of
+#: 16 (112 against 203 us) and loses on cells of 8 (218 against 208 us); that
+#: decides the floor.  Whole orderings with floors of 8 and 16 differ by less
+#: than their run-to-run spread.
 _SELECT_MIN_CELL = 16
 
 
@@ -200,9 +190,9 @@ def build_tree(X: PointCloud | np.ndarray, depth: int) -> np.ndarray:
     child they are left unordered, which no later step reads: the next level
     moves the ranks to its own axis and orders or selects them again.  The
     last level keeps the sort, so each leaf of a truncated build is still in
-    rank order.  A full sort of 2**16 keys costs 180-200 us whatever the cell
-    size; a row-wise selection costs 30-120 us on cells of 2**15 down to 16
-    points and loses below (231 us on cells of 8).
+    rank order.  On 2**16 points (2-vCPU Xeon) a sort level costs about
+    210 us whatever the cell size and a selection level 30-120 us, so one d=2
+    ordering takes about 0.74 of the time of a build that sorts every level.
 
     Bounds: ``depth <= MAX_DEPTH`` (the address packing) and ``n <= 2**31``
     (the key needs ``2 * bits <= 63``); past either a ValueError is raised.

@@ -143,14 +143,14 @@ def tree_inputs(draw):
 
 
 @st.composite
-def equal_cell_inputs(draw):
-    """Tied clouds of n = b * 2**k points, b at least the selection floor, so
-    levels 1..k hold equal cells that split by selection; depths whose last
-    level is one of those, or around full depth.  Rows above a few hundred
-    points are what numpy's partition leaves unsorted."""
+def equal_cell_inputs(draw, bs=range(partition._SELECT_MIN_CELL, 65)):
+    """Tied clouds of n = b * 2**k points, b from ``bs`` (at least the
+    selection floor), so levels 1..k hold equal cells that split by selection;
+    depths whose last level is one of those, or around full depth.  Rows above
+    a few hundred points are what numpy's partition leaves unsorted."""
     # Sampled, not drawn as integers, which hypothesis biases towards small n.
     k = draw(st.sampled_from(range(1, 8)))
-    b = draw(st.sampled_from(range(partition._SELECT_MIN_CELL, 65)))
+    b = draw(st.sampled_from(bs))
     n = b << k
     depth = draw(st.sampled_from([*range(2, k + 2), full_depth(n) - 1, full_depth(n), full_depth(n) + 1]))
     return draw(tied_clouds(n)), depth
@@ -239,6 +239,27 @@ class TestBuildTree:
     @given(equal_cell_inputs())
     def test_selection_levels_match_lexsort_reference(self, case):
         _assert_matches_reference(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(equal_cell_inputs(bs=range(partition._SELECT_MIN_CELL + 1, 65, 2)), st.integers(0, 2**32 - 1))
+    def test_selection_needs_only_the_partition_contract(self, case, seed):
+        # A stand-in for np.partition that keeps only its contract: the kth
+        # entry of each row in place, no larger entry before it and no smaller
+        # one after, the two sides in random order.  Odd cells (b odd) catch a
+        # kth one off, and the shuffle catches any step that reads the order
+        # within a child, which numpy leaves sorted on rows of a few hundred.
+        rng = np.random.default_rng(seed)
+        select = np.partition
+
+        def shuffled_sides(a, kth, axis):
+            out = select(a, kth, axis=axis)
+            for side in (out[:, :kth + 1], out[:, kth + 1:]):
+                side[...] = np.take_along_axis(side, rng.random(side.shape).argsort(axis=1), axis=1)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "partition", shuffled_sides)
+            _assert_matches_reference(*case)
 
     @pytest.mark.parametrize("n, depth, sizes", [
         # Levels 1..12 hold equal cells of 2**15 down to 16 points.
