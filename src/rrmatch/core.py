@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,8 @@ class PointCloud:
             np.array_equal(self.coords, other.coords)
         )
 
-    def __hash__(self) -> int:  # frozen dataclass with array field
-        return hash((self.coords.shape, self.coords.tobytes()))
+    def __hash__(self) -> int:  # frozen dataclass with array field; + 0.0 maps -0.0 to 0.0, as __eq__ does
+        return hash((self.coords.shape, (self.coords + 0.0).tobytes()))
 
 
 def _as_cloud(X: PointCloud | np.ndarray) -> PointCloud:
@@ -135,26 +135,37 @@ def _check_assignment(pi: np.ndarray, n: int, where: np.ndarray | None = None, d
 
 @dataclass(frozen=True)
 class Plan:
-    """A bijection of ``range(n)`` onto itself: source ``i`` goes to target ``pi[i]``.
+    """A bijection of ``range(n)`` onto itself: source ``i`` goes to target ``pi[i]``
+    at squared Euclidean cost ``squared_costs[i]``.
 
-    ``squared_cost_sum`` is the sum of squared Euclidean costs over all pairs (not
-    divided by n), summed per row in row order, exactly as :func:`plan_squared_cost`.
-    ``pi`` is stored as a read-only int64 copy of the integer array passed in.
+    Both are stored as read-only int64 and float64 copies.  The costs need ``pi``'s
+    shape, no negative entry and a finite total ``squared_cost_sum`` (not divided by
+    n), ``float(squared_costs.sum())``: every plan's total is its costs summed in row order.
     """
 
     pi: np.ndarray
-    squared_cost_sum: float
+    squared_costs: np.ndarray
+    squared_cost_sum: float = field(init=False)
 
     def __post_init__(self) -> None:
         pi = np.asarray(self.pi)
         if pi.ndim != 1 or pi.size < 1:
             raise ValueError("pi must be a non-empty 1-d index array")
         _check_assignment(pi, pi.size)
-        if not math.isfinite(self.squared_cost_sum) or self.squared_cost_sum < 0:
-            raise ValueError(f"squared_cost_sum must be finite and >= 0, got {self.squared_cost_sum}")
+        costs = np.array(self.squared_costs, dtype=np.float64)
+        if costs.shape != pi.shape:
+            raise SizeMismatchError(f"squared_costs shape {costs.shape} does not match plan size {pi.shape}")
+        with np.errstate(over="ignore"):  # an overflowing total is reported below
+            total = float(costs.sum())
+        if not math.isfinite(total):
+            raise ValueError(f"squared_costs must have a finite sum, got {total}")
+        if costs.min() < 0.0:
+            raise ValueError(f"squared_costs[{np.argmin(costs)}] = {costs.min()} is negative")
         pi = np.array(pi, dtype=np.int64, order="C")
-        pi.flags.writeable = False
+        pi.flags.writeable = costs.flags.writeable = False
         object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "squared_costs", costs)
+        object.__setattr__(self, "squared_cost_sum", total)
 
     @property
     def n(self) -> int:

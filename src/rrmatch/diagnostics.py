@@ -364,8 +364,9 @@ def convergence_experiment(
     """Monte-Carlo decay of the anchored distance for uniform samples.
 
     The uniform density has contraction factor rho = 1/2, hence a Holder
-    exponent of 1/d and a theoretical decay exponent of -min(1/(2d), 1/4);
-    the fitted slope may be steeper since the rate is an upper bound.
+    exponent of 1/d and ``theory_exponent`` = -min(1/(2d), 1/4), log factors left
+    out.  Over n = 256..65536 (10 reps, seed 0) the slope read -0.534 at d=1, steeper,
+    but -0.219 and -0.158 at d=2 and 3, shallower than -0.25 and -0.167.
     The slope is fitted only when ``n_list`` holds at least two distinct
     sizes; otherwise no slope exists and it is NaN.
     """

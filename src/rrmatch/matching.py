@@ -42,7 +42,6 @@ from rrmatch.core import (
     _check_pair,
     _pair_costs,
     derive_rng,
-    plan_squared_cost,
 )
 from rrmatch.partition import tree_curve_order
 
@@ -167,7 +166,7 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
         order_y = tree_curve_order(Y.coords @ rot.T)
     pi = np.empty(X.n, dtype=np.int64)
     pi[order_x] = order_y
-    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
+    return Plan(pi=pi, squared_costs=_pair_costs(X.coords, Y.coords, pi))
 
 
 def _min_index_labels(nxt: np.ndarray) -> np.ndarray:
@@ -254,30 +253,26 @@ def _cycle_labels(tau: np.ndarray) -> np.ndarray:
     return connected_components(graph, connection="strong")[1].astype(np.int64)
 
 
-def merge_pair(p: Plan, q: Plan, X: PointCloud, Y: PointCloud) -> Plan:
-    """Combine two plans, never worse than either.
+def merge_pair(p: Plan, q: Plan) -> Plan:
+    """Combine two plans between the same clouds, never worse than either.
 
     The composition q o p^-1 decomposes the sources into disjoint cycles;
     within a cycle the two plans use the same set of targets, so taking
     whichever plan has the smaller squared-cost sum on that cycle's sources
     stays a permutation and costs at most min(cost(p), cost(q)).  q wins only
-    cycles where it is strictly cheaper, and the total sums the chosen per-row
-    costs in row order, so ``merge_pair(p, p)`` returns p's total bit for bit.
+    cycles where it is strictly cheaper, and each row keeps the per-row cost of
+    the plan it came from, so ``merge_pair(p, p)`` returns p's costs bit for bit.
     The cycles come from :func:`_cycle_labels` (a splitter walk from
     ``_WALK_MIN_N`` points on, SciPy below) and serve only as a partition:
     ``np.bincount`` sums each cycle's costs in row order whatever its label,
     so plans and totals do not depend on the labeller.
     """
-    X, Y = _check_pair(X, Y)
-    if p.n != X.n or q.n != X.n:
-        raise SizeMismatchError("plan size does not match cloud size")
-
+    if p.n != q.n:
+        raise SizeMismatchError(f"plans must have equal size, got {p.n} and {q.n}")
     labels = _cycle_labels(p.inverse()[q.pi])  # a cycle's sources trade targets between p and q
-    cost_p = _pair_costs(X.coords, Y.coords, p.pi)
-    cost_q = _pair_costs(X.coords, Y.coords, q.pi)
+    cost_p, cost_q = p.squared_costs, q.squared_costs
     take_q = (np.bincount(labels, weights=cost_q) < np.bincount(labels, weights=cost_p))[labels]
-    pi = np.where(take_q, q.pi, p.pi)
-    return Plan(pi=pi, squared_cost_sum=float(np.where(take_q, cost_q, cost_p).sum()))
+    return Plan(pi=np.where(take_q, q.pi, p.pi), squared_costs=np.where(take_q, cost_q, cost_p))
 
 
 def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Plan:
@@ -294,7 +289,7 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     merged = rrm_plan(X, Y, RunVariant.identity(X.d))
     for i in range(1, runs):
         candidate = rrm_plan(X, Y, RunVariant.random(X.d, seed, i))
-        merged = merge_pair(merged, candidate, X, Y)
+        merged = merge_pair(merged, candidate)
     return merged
 
 
@@ -426,14 +421,13 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
     costs about 40 passes over it (30 of them matrix-vector products),
     about 13 ms at n=1024 (the plain passes took 21 ms).
 
-    The total is the pair-cost sum of the plan, in row order, from the
-    given coordinates.  Which optimum comes back among ties is not
-    contracted.  Non-finite coordinates raise ``ValueError``, and so do
-    points spread so far apart that their squared distances overflow
-    float64.  ``scipy.optimize`` is imported at the first solve, through
-    :func:`linear_sum_assignment`, not with this module: the rrm and merged
-    paths never solve, and the import, which loads ``scipy.spatial`` too,
-    costs about 0.15 s and 16 MiB.
+    The plan's costs are those of the given coordinates, not the centred
+    ones.  Which optimum comes back among ties is not contracted.  Non-finite
+    coordinates raise ``ValueError``, and so do points spread so far apart that
+    their squared distances overflow float64.  ``scipy.optimize`` is imported
+    at the first solve, through :func:`linear_sum_assignment`, not with this
+    module: the rrm and merged paths never solve, and the import, which loads
+    ``scipy.spatial`` too, costs about 0.15 s and 16 MiB.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -460,7 +454,7 @@ def hungarian(x: np.ndarray, y: np.ndarray) -> Plan:
         work -= b
         cols = linear_sum_assignment(work)[1]  # a square matrix's rows come back as arange(n)
     cols = z[cols]
-    return Plan(pi=cols, squared_cost_sum=float(_pair_costs(x, y, cols).sum()))
+    return Plan(pi=cols, squared_costs=_pair_costs(x, y, cols))
 
 
 def squared_distance_matrix(
@@ -487,13 +481,8 @@ def exact_plan(X: PointCloud, Y: PointCloud, cap: int = EXACT_CAP) -> Plan:
     """An optimal assignment of X to Y: :func:`hungarian` on the clouds' coordinates.
 
     Refuses to run above ``cap`` points, where the surrogate methods are the
-    intended tool.  Peak memory is one n×n float64 buffer (8 MiB at n=1024),
-    which holds the squared distances, then the warm start's kernel, then the
-    reduced costs, with Y's points as the columns in Z-order; X keeps its row
-    order.  That order changes only the solver's time (about 43 → 31 ms on
-    validate-1k's pair), never which unique optimum comes back.
-    The total is summed in row order from the original coordinates.  Which
-    optimum comes back among ties is not contracted.
+    intended tool.  Peak memory is hungarian's one n×n float64 buffer (8 MiB at
+    n=1024).  Which optimum comes back among ties is not contracted.
     """
     X, Y = _check_pair(X, Y)
     if X.n > cap:

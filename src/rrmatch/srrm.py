@@ -24,9 +24,9 @@ from rrmatch.core import (
     _check_pair,
     _check_seed,
     _check_assignment,
+    _pair_costs,
     derive_rng,
     derive_seed,
-    plan_squared_cost,
 )
 from rrmatch.matching import hungarian, merged_rrm
 from rrmatch.matching import squared_distance_matrix  # noqa: F401  (a tracing point of bench/spans.py)
@@ -52,7 +52,7 @@ class SrrmConfig:
     is ``merged_rrm`` seeded with round 0's derived seed, not with ``seed``, and
     finalization has nothing to do.  ``guard`` keeps one extra merged run and
     returns it only if strictly cheaper, making "never worse than merged" a hard
-    invariant; totals are summed one way, so it fires only on a different plan.
+    invariant.
     """
 
     rounds: int = 10
@@ -172,9 +172,8 @@ def finalize_hungarian(
     1.5-1.8 s (median 1.54 s) with the Z-order against 1.3-1.9 s (median
     1.79 s) without, since clipped duplicates make ties, where the Z-order
     gains least.  It holds one r×r float64 buffer for a residual of r
-    points.  The cost is summed from the original coordinates.  Which optimum
-    comes back among ties is not contracted.  A residual whose squared
-    distances overflow float64 raises ``ValueError``.
+    points.  Which optimum comes back among ties is not contracted.  A
+    residual whose squared distances overflow float64 raises ``ValueError``.
     """
     X, Y = _check_pair(X, Y)
     pi = np.array(partial)
@@ -191,7 +190,7 @@ def finalize_hungarian(
         cols = np.setdiff1d(np.arange(X.n), pi[committed], assume_unique=True)
         sub = hungarian(X.coords[rows], Y.coords[cols])
         pi[rows] = cols[sub.pi]
-    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
+    return Plan(pi=pi, squared_costs=_pair_costs(X.coords, Y.coords, pi))
 
 
 def _screen(X: PointCloud, Y: PointCloud, cfg: SrrmConfig) -> tuple[np.ndarray, tuple[int, ...]]:

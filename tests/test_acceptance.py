@@ -126,7 +126,7 @@ def test_plateau_lower_bound_fuzz():
             plan = merged_rrm(X, Y, 3, seed=trial)
         else:
             pi = rng.permutation(n)
-            plan = Plan(pi=pi, squared_cost_sum=float(((X.coords - Y.coords[pi]) ** 2).sum()))
+            plan = Plan(pi=pi, squared_costs=((X.coords - Y.coords[pi]) ** 2).sum(axis=1))
         depth = int(rng.integers(1, 10))
         report = plateau_decomposition(X, Y, plan, LastMileParams(depth=depth, d=d))
         worst = min(worst, report.rrm_sq - report.lower_bound)

@@ -42,22 +42,28 @@ class TestPointCloud:
         coords[0, 0] = 5.0
         assert cloud.coords[0, 0] == 1.0
 
+    def test_signed_zero_hashes_like_zero(self):
+        # -0.0 == 0.0, so equal clouds must hash alike (diagnostics caches on them).
+        a, b = PointCloud([[0.0, 1.0]]), PointCloud([[-0.0, 1.0]])
+        assert a == b
+        assert hash(a) == hash(b)
+
 
 class TestPlan:
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ValueError, match=r"pi\[1\] = 0 repeats .* distinct"):
-            Plan(pi=np.array([0, 0, 1]), squared_cost_sum=0.0)
+            Plan(pi=np.array([0, 0, 1]), squared_costs=np.zeros(3))
         with pytest.raises(ValueError, match=r"pi\[3\] = 2 repeats"):
-            Plan(pi=np.array([0, 2, 1, 2, 0]), squared_cost_sum=0.0)
+            Plan(pi=np.array([0, 2, 1, 2, 0]), squared_costs=np.zeros(5))
 
     def test_rejects_unassigned_and_names_it(self):
         with pytest.raises(ValueError, match=r"pi\[1\] = -1 is outside \[0, 3\)"):
-            Plan(pi=np.array([1, -1, 0]), squared_cost_sum=0.5)
+            Plan(pi=np.array([1, -1, 0]), squared_costs=[0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"pi\[1\] = -1 is outside"):
-            Plan(pi=np.array([2, -1, 2, -1]), squared_cost_sum=0.0)
+            Plan(pi=np.array([2, -1, 2, -1]), squared_costs=np.zeros(4))
         with pytest.raises(ValueError, match=r"pi\[0\] = 3 is outside \[0, 3\)"):
-            Plan(pi=np.array([3, 0, 1]), squared_cost_sum=0.0)
-        plan = Plan(pi=np.array([1, 2, 0]), squared_cost_sum=0.5)
+            Plan(pi=np.array([3, 0, 1]), squared_costs=np.zeros(3))
+        plan = Plan(pi=np.array([1, 2, 0]), squared_costs=[0.5, 0.0, 0.0])
         assert plan.rms == pytest.approx(np.sqrt(0.5 / 3))
 
     @pytest.mark.parametrize("pi, dtype", [
@@ -68,7 +74,7 @@ class TestPlan:
     ])
     def test_rejects_non_integer_index_arrays(self, pi, dtype):
         with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
-            Plan(pi=pi, squared_cost_sum=0.0)
+            Plan(pi=pi, squared_costs=np.zeros(2))
         X = PointCloud(np.random.default_rng(4).random((2, 2)))
         with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
             plan_squared_cost(X, X, pi)
@@ -76,26 +82,64 @@ class TestPlan:
     def test_empty_index_array_keeps_its_size_error(self):
         X = PointCloud(np.random.default_rng(5).random((3, 2)))
         with pytest.raises(ValueError, match="non-empty"):
-            Plan(pi=[], squared_cost_sum=0.0)
+            Plan(pi=[], squared_costs=[])
         with pytest.raises(SizeMismatchError, match="plan size"):
             plan_squared_cost(X, X, [])
 
     def test_accepts_any_integer_dtype(self):
-        plan = Plan(pi=np.array([1, 0], dtype=np.uint8), squared_cost_sum=0.0)
+        plan = Plan(pi=np.array([1, 0], dtype=np.uint8), squared_costs=np.zeros(2))
         assert plan.pi.dtype == np.int64
 
     def test_inverse(self):
-        plan = Plan(pi=np.array([2, 0, 1]), squared_cost_sum=0.0)
+        plan = Plan(pi=np.array([2, 0, 1]), squared_costs=np.zeros(3))
         inv = plan.inverse()
         assert (inv[plan.pi] == np.arange(3)).all()
 
     def test_keeps_callers_array_writeable(self):
-        pi = np.arange(3)
-        plan = Plan(pi=pi, squared_cost_sum=0.0)
-        pi[0] = 1
+        pi, costs = np.arange(3), np.array([0.5, 0.0, 2.0])
+        plan = Plan(pi=pi, squared_costs=costs)
+        pi[0], costs[0] = 1, 7.0
         np.testing.assert_array_equal(plan.pi, [0, 1, 2])
+        np.testing.assert_array_equal(plan.squared_costs, [0.5, 0.0, 2.0])
+        assert plan.squared_cost_sum == 2.5
         with pytest.raises(ValueError):
             plan.pi[0] = 1
+        with pytest.raises(ValueError):
+            plan.squared_costs[0] = 1.0
+
+    def test_total_is_the_row_order_sum_of_its_costs(self):
+        costs = np.random.default_rng(6).random(1001)
+        costs[::7] *= 1e12  # wide magnitudes, so the bits depend on the summation order
+        plan = Plan(pi=np.arange(costs.size), squared_costs=costs)
+        assert plan.squared_costs.dtype == np.float64
+        assert plan.squared_cost_sum == float(costs.sum())
+        assert type(plan.squared_cost_sum) is float
+
+    @pytest.mark.parametrize("size", [0, 2, 4])
+    def test_rejects_costs_of_the_wrong_length(self, size):
+        with pytest.raises(SizeMismatchError, match=rf"squared_costs shape \({size},\) does not match"):
+            Plan(pi=np.arange(3), squared_costs=np.zeros(size))
+        with pytest.raises(SizeMismatchError, match="does not match"):
+            Plan(pi=np.arange(3), squared_costs=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_total(self, bad):
+        with pytest.raises(ValueError, match=f"squared_costs must have a finite sum, got {bad}"):
+            Plan(pi=np.arange(3), squared_costs=[1.0, bad, 0.0])
+        # Finite entries whose total overflows are rejected too.
+        big = np.finfo(np.float64).max
+        with pytest.raises(ValueError, match="finite sum, got inf"):
+            Plan(pi=np.arange(2), squared_costs=[big, big])
+
+    def test_rejects_a_negative_entry_and_names_it(self):
+        with pytest.raises(ValueError, match=r"squared_costs\[2\] = -0.5 is negative"):
+            Plan(pi=np.arange(4), squared_costs=[1.0, 0.0, -0.5, 3.0])
+        plan = Plan(pi=np.arange(2), squared_costs=[-0.0, 1.0])  # -0.0 is not negative
+        assert plan.squared_cost_sum == 1.0
+
+    def test_checks_pi_before_its_costs(self):
+        with pytest.raises(ValueError, match=r"pi\[1\] = 0 repeats"):
+            Plan(pi=np.array([0, 0]), squared_costs=[np.nan])
 
     def test_cost_rejects_entry_out_of_range(self):
         rng = np.random.default_rng(7)

@@ -145,7 +145,7 @@ class TestPrematureSet:
     def test_params_dimension_must_match_the_clouds(self):
         rng = np.random.default_rng(5)
         X, Y = PointCloud(rng.random((40, 3))), PointCloud(rng.random((40, 3)))
-        plan = Plan(pi=np.arange(40), squared_cost_sum=0.0)
+        plan = Plan(pi=np.arange(40), squared_costs=np.zeros(40))
         params = LastMileParams(depth=5, d=1)
         message = "LastMileParams.d is 1 but the clouds have dimension 3"
         with pytest.raises(SizeMismatchError, match=message):
@@ -157,7 +157,7 @@ class TestPrematureSet:
 class TestPlateauDecomposition:
     def test_identity_instance_all_zero(self):
         X = PointCloud(np.random.default_rng(3).random((32, 2)))
-        plan = Plan(pi=np.arange(32), squared_cost_sum=0.0)
+        plan = Plan(pi=np.arange(32), squared_costs=np.zeros(32))
         report = plateau_decomposition(X, X, plan, LastMileParams(depth=4, d=2))
         assert report.rrm_sq == 0.0
         assert report.lower_bound == 0.0
@@ -171,7 +171,7 @@ class TestPlateauDecomposition:
             X = PointCloud(rng.random((n, d)))
             Y = PointCloud(rng.random((n, d)))
             pi = rng.permutation(n)
-            plan = Plan(pi=pi, squared_cost_sum=float(((X.coords - Y.coords[pi]) ** 2).sum()))
+            plan = Plan(pi=pi, squared_costs=((X.coords - Y.coords[pi]) ** 2).sum(axis=1))
             report = plateau_decomposition(X, Y, plan, LastMileParams(depth=5, d=d))
             assert report.rrm_sq - report.lower_bound >= -1e-12
             assert 0.0 <= report.alpha_H <= 1.0
@@ -192,7 +192,7 @@ class TestPlateauDecomposition:
         rng = np.random.default_rng(6)
         X = PointCloud(rng.random((48, 2)))
         pairs = [(X, PointCloud(rng.random((48, 2)) + shift)) for shift in (0.0, 3.0)]
-        plans = [Plan(pi=pi, squared_cost_sum=0.0) for pi in (np.arange(48), rng.permutation(48))]
+        plans = [Plan(pi=pi, squared_costs=np.zeros(48)) for pi in (np.arange(48), rng.permutation(48))]
         params = LastMileParams(depth=5, d=2)
         forward = [[plateau_decomposition(X, Y, plan, params) for plan in plans] for X, Y in pairs]
         backward = [[plateau_decomposition(X, Y, plan, params) for plan in plans] for X, Y in pairs[::-1]]

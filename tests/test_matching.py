@@ -27,6 +27,7 @@ from rrmatch.core import (
     Plan,
     PointCloud,
     SizeMismatchError,
+    _pair_costs,
     derive_rng,
     plan_squared_cost,
 )
@@ -57,7 +58,8 @@ def brute_force_assignment_cost(cost):
     n = cost.shape[0]
     best = np.inf
     for perm in itertools.permutations(range(n)):
-        best = min(best, cost[np.arange(n), perm].sum())
+        with np.errstate(over="ignore"):  # an overflowing total is inf, which is correct
+            best = min(best, cost[np.arange(n), perm].sum())
     return best
 
 
@@ -101,7 +103,7 @@ def _serial_rrm_plan(X, Y, variant):
     rot = variant.rotation
     pi = np.empty(X.n, dtype=np.int64)
     pi[tree_curve_order(X.coords @ rot.T)] = tree_curve_order(Y.coords @ rot.T)
-    return Plan(pi=pi, squared_cost_sum=plan_squared_cost(X, Y, pi))
+    return Plan(pi=pi, squared_costs=_pair_costs(X.coords, Y.coords, pi))
 
 
 def _send_merged_cost(X, Y, conn):
@@ -122,7 +124,7 @@ class TestHelperThread:
 
         ref = _serial_rrm_plan(X, Y, RunVariant.identity(2))
         for i in (1, 2):
-            ref = merge_pair(ref, _serial_rrm_plan(X, Y, RunVariant.random(2, 7, i)), X, Y)
+            ref = merge_pair(ref, _serial_rrm_plan(X, Y, RunVariant.random(2, 7, i)))
         merged = merged_rrm(X, Y, 3, seed=7)
         assert merged.pi.tobytes() == ref.pi.tobytes()
         assert merged.squared_cost_sum == ref.squared_cost_sum
@@ -347,7 +349,7 @@ class TestMergePair:
         rng = np.random.default_rng(7)
         X, Y = _random_pair(rng, 20, 2)
         p = rrm_plan(X, Y)
-        merged = merge_pair(p, p, X, Y)
+        merged = merge_pair(p, p)
         np.testing.assert_array_equal(merged.pi, p.pi)
 
     def test_merge_with_self_keeps_the_total(self):
@@ -355,26 +357,34 @@ class TestMergePair:
         for _ in range(10):
             X, Y = _random_pair(rng, 50, 2)
             for p in (rrm_plan(X, Y), merged_rrm(X, Y, 4, seed=1), hungarian(X.coords, Y.coords)):
-                assert merge_pair(p, p, X, Y).squared_cost_sum == p.squared_cost_sum
+                assert merge_pair(p, p).squared_cost_sum == p.squared_cost_sum
 
     def test_merge_with_optimal_keeps_optimal(self):
         rng = np.random.default_rng(8)
         X, Y = _random_pair(rng, 15, 2)
         optimal = hungarian(X.coords, Y.coords)
         other = rrm_plan(X, Y, RunVariant.random(2, seed=1, index=1))
-        merged = merge_pair(optimal, other, X, Y)
+        merged = merge_pair(optimal, other)
         assert merged.squared_cost_sum == pytest.approx(optimal.squared_cost_sum, rel=1e-12)
 
     def test_two_cycles_pick_best_of_each(self):
-        # Cycle {0,1}: p assigns identically (cost 0), q swaps (cost 2).
-        # Cycle {2,3}: p swaps (cost 2), q assigns identically (cost 0).
-        X = PointCloud(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        Y = PointCloud(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        p = Plan(pi=np.array([0, 1, 3, 2]), squared_cost_sum=2.0)
-        q = Plan(pi=np.array([1, 0, 2, 3]), squared_cost_sum=2.0)
-        merged = merge_pair(p, q, X, Y)
+        # Points 0, 1, 10, 11 on both sides.  Cycle {0,1}: p assigns
+        # identically (cost 0), q swaps (cost 2).  Cycle {2,3}: p swaps
+        # (cost 2), q assigns identically (cost 0).
+        p = Plan(pi=np.array([0, 1, 3, 2]), squared_costs=[0.0, 0.0, 1.0, 1.0])
+        q = Plan(pi=np.array([1, 0, 2, 3]), squared_costs=[1.0, 1.0, 0.0, 0.0])
+        merged = merge_pair(p, q)
         assert merged.squared_cost_sum == 0.0
         np.testing.assert_array_equal(merged.pi, [0, 1, 2, 3])
+        np.testing.assert_array_equal(merged.squared_costs, np.zeros(4))
+
+    def test_size_mismatch(self):
+        p = Plan(pi=np.arange(3), squared_costs=np.zeros(3))
+        q = Plan(pi=np.arange(4), squared_costs=np.zeros(4))
+        with pytest.raises(SizeMismatchError, match="plans must have equal size, got 3 and 4"):
+            merge_pair(p, q)
+        with pytest.raises(SizeMismatchError, match="got 4 and 3"):
+            merge_pair(q, p)
 
     def test_never_worse_than_either(self):
         rng = np.random.default_rng(9)
@@ -382,7 +392,7 @@ class TestMergePair:
             X, Y = _random_pair(rng, 24, 2)
             p = rrm_plan(X, Y)
             q = rrm_plan(X, Y, RunVariant.random(2, seed=int(rng.integers(1 << 30)), index=1))
-            merged = merge_pair(p, q, X, Y)
+            merged = merge_pair(p, q)
             assert merged.squared_cost_sum <= min(p.squared_cost_sum, q.squared_cost_sum) + 1e-12
 
 

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from rrmatch import matching, srrm
 from rrmatch.core import (
     CapExceededError,
     Plan,
     PointCloud,
     SizeMismatchError,
+    _pair_costs,
     derive_rng,
     derive_seed,
     plan_squared_cost,
@@ -83,14 +85,14 @@ class TestSampleNear:
 
 class TestSelect:
     def test_identity_on_reals_all_good(self):
-        T = Plan(pi=np.arange(6), squared_cost_sum=0.0)
+        T = Plan(pi=np.arange(6), squared_costs=np.zeros(6))
         good, keep_x, keep_y = select(T, 4)
         np.testing.assert_array_equal(good, np.column_stack([np.arange(4), np.arange(4)]))
         assert keep_x.size == 0 and keep_y.size == 0
 
     def test_all_reals_to_anchors(self):
         # 3 reals, 3 anchors; every real maps into the anchor block.
-        T = Plan(pi=np.array([3, 4, 5, 0, 1, 2]), squared_cost_sum=0.0)
+        T = Plan(pi=np.array([3, 4, 5, 0, 1, 2]), squared_costs=np.zeros(6))
         good, keep_x, keep_y = select(T, 3)
         assert good.size == 0
         np.testing.assert_array_equal(keep_x, [0, 1, 2])
@@ -98,7 +100,7 @@ class TestSelect:
 
     def test_hand_instance_one_real_pair(self):
         # m=3 reals, 2 anchors: real 1 -> real 0 is the only real-real pair.
-        T = Plan(pi=np.array([3, 0, 4, 2, 1]), squared_cost_sum=0.0)
+        T = Plan(pi=np.array([3, 0, 4, 2, 1]), squared_costs=np.zeros(5))
         good, keep_x, keep_y = select(T, 3)
         np.testing.assert_array_equal(good, [[1, 0]])
         np.testing.assert_array_equal(keep_x, [0, 2])
@@ -110,7 +112,7 @@ class TestSelect:
         for _ in range(50):
             total = int(rng.integers(2, 12))
             m = int(rng.integers(1, total + 1))
-            T = Plan(pi=rng.permutation(total), squared_cost_sum=0.0)
+            T = Plan(pi=rng.permutation(total), squared_costs=np.zeros(total))
             _, keep_x, keep_y = select(T, m)
             assert keep_x.size == keep_y.size
 
@@ -445,7 +447,7 @@ def _every_builder(X, Y, seed):
     return {
         "rrm_plan": variant,
         "merged_rrm": merged_rrm(X, Y, 4, seed),
-        "merge_pair": merge_pair(rrm_plan(X, Y), variant, X, Y),
+        "merge_pair": merge_pair(rrm_plan(X, Y), variant),
         "hungarian": hungarian(X.coords, Y.coords),
         "exact_plan": exact_plan(X, Y),
         "finalize_hungarian": finalize_hungarian(X, Y, partial),
@@ -469,6 +471,31 @@ class TestOneSummationRule:
                 X, Y = gen(dataclasses.replace(spec, seed=seed))
                 X, Y = PointCloud(scale * X.coords + shift), PointCloud(scale * Y.coords + shift)
                 for name, plan in _every_builder(X, Y, seed).items():
-                    if plan.squared_cost_sum != plan_squared_cost(X, Y, plan.pi):
+                    costs = _pair_costs(X.coords, Y.coords, plan.pi)
+                    if (
+                        plan.squared_costs.tobytes() != costs.tobytes()
+                        or plan.squared_cost_sum != plan_squared_cost(X, Y, plan.pi)
+                    ):
                         mismatched.append((spec.family, seed, name))
         assert mismatched == []
+
+    def test_pair_costs_are_evaluated_once_per_plan_built_from_clouds(self, monkeypatch):
+        # merge_pair reads its plans' costs, so merged_rrm evaluates pair costs
+        # once per run, and srrm_match once per run of each round and of the
+        # guard, once in the residual's exact solve and once in finalize_hungarian.
+        calls = []
+
+        def counted(x, y, pi):
+            calls.append(pi.size)
+            return _pair_costs(x, y, pi)
+
+        for module in (matching, srrm):
+            monkeypatch.setattr(module, "_pair_costs", counted)
+        X, Y = gen(GeneratorSpec("gaussian-pair", n=400, t=1.0, seed=3))
+        merged_rrm(X, Y, 8, seed=1)
+        assert len(calls) == 8
+        calls.clear()
+        cfg = SrrmConfig(rounds=10, anchors_per_point=1, merge_runs=5, seed=1)
+        result = srrm_match(X, Y, cfg)
+        assert result.residual > 0
+        assert len(calls) == 5 * len(result.history) + 5 + 1 + 1
