@@ -7,8 +7,9 @@ threads; operations are pure functions of their inputs and an explicit seed.
 from __future__ import annotations
 
 import math
+import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,17 @@ class CapExceededError(RuntimeError):
     """Raised when an exact-assignment subproblem exceeds its configured cap."""
 
 
+def _check_integer(name: str, value: object) -> None:
+    """Raise a TypeError that names ``name`` unless ``value`` is an integer (``operator.index``)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: RngSeed) -> None:
-    """Raise a ValueError that names a negative seed."""
+    """Raise a TypeError that names a seed that is not an integer, a ValueError that names a negative one."""
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -60,8 +70,34 @@ def derive_seed(seed: RngSeed, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class _ArrayFields:
+    """Value semantics for a frozen dataclass, declared with ``eq=False``, whose fields hold arrays.
+
+    Two instances are equal when each field holds an equal value, arrays having
+    equal shapes and entries (``-0.0`` equals ``0.0``), and equal instances hash
+    alike.  The dataclass defaults would compare arrays elementwise, which has no
+    truth value, and cannot hash them.
+    """
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            a.shape == b.shape and bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._fields(), other._fields())
+        )
+
+    def __hash__(self) -> int:  # + 0 maps -0.0 to 0.0, as __eq__ does
+        return hash(
+            tuple((a.shape, (a + 0).tobytes()) if isinstance(a, np.ndarray) else a for a in self._fields())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class PointCloud(_ArrayFields):
     """n points in d dimensions with implicit uniform weights 1/n.
 
     ``coords`` is a read-only (n, d) float64 row-major copy of the array
@@ -90,16 +126,6 @@ class PointCloud:
     @property
     def d(self) -> int:
         return self.coords.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            np.array_equal(self.coords, other.coords)
-        )
-
-    def __hash__(self) -> int:  # frozen dataclass with array field; + 0.0 maps -0.0 to 0.0, as __eq__ does
-        return hash((self.coords.shape, (self.coords + 0.0).tobytes()))
 
 
 def _as_cloud(X: PointCloud | np.ndarray) -> PointCloud:
@@ -133,8 +159,8 @@ def _check_assignment(pi: np.ndarray, n: int, where: np.ndarray | None = None, d
     raise ValueError(f"pi[{i}] = {targets[k]} {problem}")
 
 
-@dataclass(frozen=True)
-class Plan:
+@dataclass(frozen=True, eq=False)
+class Plan(_ArrayFields):
     """A bijection of ``range(n)`` onto itself: source ``i`` goes to target ``pi[i]``
     at squared Euclidean cost ``squared_costs[i]``.
 

@@ -15,11 +15,10 @@ same round seeds for every pair, so its calls after the first reuse them.
 A cold first call with a new seed builds every variant and gains nothing
 from the cache.
 
-Merging labels the cycles of one plan against the other.  From 2**14 points
-on a numpy splitter walk labels them; below that SciPy's graph routines,
-which were faster there (the two tie near 2**13), are imported at the first
-such merge.  The labels serve only as a partition, so plans do not depend on
-which labeller ran, and importing this module loads no SciPy module.
+Merging labels the cycles of one plan against the other with numpy alone:
+by pointer doubling below 2**13 points and by a splitter walk from there on.
+The labels serve only as a partition, so plans do not depend on which
+labeller ran, and neither importing this module nor merging loads SciPy.
 """
 
 from __future__ import annotations
@@ -38,8 +37,11 @@ from rrmatch.core import (
     PointCloud,
     RngSeed,
     SizeMismatchError,
+    _ArrayFields,
     _centred,
+    _check_integer,
     _check_pair,
+    _check_seed,
     _pair_costs,
     derive_rng,
 )
@@ -54,12 +56,15 @@ _TAG_VARIANT = 1
 #: about twice as long with the thread at n=2000; the two break even near 2**14.
 _OVERLAP_MIN_N = 2**15
 
-#: Smallest n at which _cycle_labels walks the permutation instead of calling
-#: SciPy, and the walk's splitter stride.  Measured on merge permutations of
-#: uniform d=2 pairs at n = 2**11..2**20 and strides 8..64: SciPy was 1.6-1.9x
-#: faster at 2**11-2**12, the two tied near 2**13 and the walk won from 2**14
-#: on; stride 32 was within 11% of the best stride at every size from 2**14.
-_WALK_MIN_N = 2**14
+#: Smallest n at which _cycle_labels walks the permutation instead of pointer
+#: doubling, and the walk's splitter stride.  Median µs per labelling of merge
+#: permutations of uniform d=2 pairs (identity against one random variant, 3-5
+#: pairs per size, 2-vCPU Xeon), doubling / walk: 213/294 at 3000, 223/248 at
+#: 4096, 244/255 at 5000, 424/415 at 6000, 527/455 at 7000, 586/516 at 2**13,
+#: 1099/701 at 2**14 and 2415/788 at 2**15; 2**13 is the first power of two
+#: past the tie.  The stride was chosen on strides 8..64 from 2**14 to 2**20:
+#: 32 was within 11% of the best at every size.
+_WALK_MIN_N = 2**13
 _WALK_STRIDE = 32
 
 #: Warm start of the exact assignment: over-relaxed Sinkhorn scaling passes,
@@ -78,8 +83,8 @@ _WARM_OMEGA = 1.8
 EXACT_CAP = 1024
 
 
-@dataclass(frozen=True)
-class RunVariant:
+@dataclass(frozen=True, eq=False)
+class RunVariant(_ArrayFields):
     """One randomized run: an orthogonal rotation shared by both clouds.
 
     The identity variant reproduces the canonical plan.  ``rotation`` is
@@ -235,22 +240,14 @@ def _cycle_labels(tau: np.ndarray) -> np.ndarray:
 
     Labels are int64 and below n, one per cycle; which number a cycle gets is
     not part of the contract, since ``merge_pair`` uses them only as a
-    partition.  From ``n >= _WALK_MIN_N`` on they come from
-    :func:`_walk_labels`; below it from SciPy's strong components of the
-    graph i -> tau[i] (Pearce 2005), imported at the first such call.  On
-    merge permutations of uniform d=2 pairs the two tied near 2**13; the
-    walk was 1.15x faster at 2**14, 2.3x at 2**16 and 6x at 2**20, where
-    SciPy's traversal is bound by cache misses.
+    partition.  Below ``_WALK_MIN_N`` points :func:`_min_index_labels`
+    doubles pointers over the whole permutation; from there on
+    :func:`_walk_labels` walks it, which was 1.6x faster at 2**14 and 3x at
+    2**15, where doubling's rounds over all n indices dominate.
     """
-    n = tau.size
-    if n >= _WALK_MIN_N:
+    if tau.size >= _WALK_MIN_N:
         return _walk_labels(tau)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    # int32 like SciPy's own labels; orderings cap n at 2**31 (partition._rank_bits).
-    graph = csr_matrix((np.ones(n), tau.astype(np.int32), np.arange(n + 1, dtype=np.int32)), shape=(n, n))
-    return connected_components(graph, connection="strong")[1].astype(np.int64)
+    return _min_index_labels(tau)
 
 
 def merge_pair(p: Plan, q: Plan) -> Plan:
@@ -262,10 +259,10 @@ def merge_pair(p: Plan, q: Plan) -> Plan:
     stays a permutation and costs at most min(cost(p), cost(q)).  q wins only
     cycles where it is strictly cheaper, and each row keeps the per-row cost of
     the plan it came from, so ``merge_pair(p, p)`` returns p's costs bit for bit.
-    The cycles come from :func:`_cycle_labels` (a splitter walk from
-    ``_WALK_MIN_N`` points on, SciPy below) and serve only as a partition:
-    ``np.bincount`` sums each cycle's costs in row order whatever its label,
-    so plans and totals do not depend on the labeller.
+    The cycles come from :func:`_cycle_labels` (numpy pointer doubling below
+    ``_WALK_MIN_N`` points, a splitter walk from there on) and serve only as
+    a partition: ``np.bincount`` sums each cycle's costs in row order whatever
+    its label, so plans and totals do not depend on the labeller.
     """
     if p.n != q.n:
         raise SizeMismatchError(f"plans must have equal size, got {p.n} and {q.n}")
@@ -284,6 +281,8 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     nonincreasing in K for a fixed seed.
     """
     X, Y = _check_pair(X, Y)
+    _check_integer("runs", runs)
+    _check_seed(seed)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     merged = rrm_plan(X, Y, RunVariant.identity(X.d))

@@ -21,6 +21,7 @@ from rrmatch.core import (
     PointCloud,
     RngSeed,
     _as_cloud,
+    _check_integer,
     _check_pair,
     _check_seed,
     _check_assignment,
@@ -63,6 +64,8 @@ class SrrmConfig:
     guard: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "anchors_per_point", "merge_runs", "hungarian_cap"):
+            _check_integer(name, getattr(self, name))
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1; the zero-round plan is merged_rrm(X, Y, merge_runs, seed)")
         if self.anchors_per_point < 0:
@@ -112,6 +115,7 @@ def sample_near(
     from scipy.spatial import cKDTree
 
     P = _as_cloud(P)
+    _check_integer("k", k)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k * P.n > (1 << 31):

@@ -213,6 +213,23 @@ def test_anchored_convergence_rate():
     )
 
 
+def test_anchored_convergence_rate_d2():
+    # At d=2 the rate is n^(-1/4) times a sqrt(log n) factor, whose local
+    # slope -1/4 + 1/(2 ln n) reads about -0.18 at the grid's middle (n=2^11);
+    # the band and the seed were fixed from that before the first run.
+    start = time.perf_counter()
+    result = convergence_experiment(2, [2**p for p in range(8, 15)], reps=6, seed=0)
+    means = [mean for _, mean, _ in result.rows]
+    elapsed = time.perf_counter() - start
+    strictly_decreasing = all(a > b for a, b in zip(means, means[1:]))
+    ok = strictly_decreasing and -0.30 <= result.slope <= -0.12 and elapsed < 120.0
+    _report(
+        "anchored distance decays (d=2, n=2^8..2^14, 6 reps)",
+        ok,
+        f"slope {result.slope:.3f} (theory bound {result.theory_exponent}), {elapsed:.1f}s",
+    )
+
+
 def test_threshold_consistency():
     rows = threshold_consistency_experiment(2, 3, [2**10, 2**16], reps=30, seed=0)
     dev_small, dev_large = rows[0][1], rows[1][1]

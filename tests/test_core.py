@@ -47,6 +47,7 @@ class TestPointCloud:
         a, b = PointCloud([[0.0, 1.0]]), PointCloud([[-0.0, 1.0]])
         assert a == b
         assert hash(a) == hash(b)
+        assert a != PointCloud([[0.0], [1.0]])
 
 
 class TestPlan:
@@ -167,6 +168,17 @@ class TestPlan:
         cost = plan_squared_cost(X, Y, pi)
         direct = sum(np.sum((X.coords[i] - Y.coords[pi[i]]) ** 2) for i in range(20))
         assert cost == pytest.approx(direct, rel=1e-12)
+
+    def test_equal_plans_compare_and_hash_alike(self):
+        a = Plan(pi=np.arange(3), squared_costs=np.zeros(3))
+        b = Plan(pi=np.arange(3, dtype=np.int32), squared_costs=np.array([-0.0, 0.0, -0.0]))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a, b} == {a} and b in {a}
+        assert a != Plan(pi=np.array([1, 0, 2]), squared_costs=np.zeros(3))
+        assert a != Plan(pi=np.arange(3), squared_costs=np.array([0.0, 0.5, 0.0]))
+        assert a != Plan(pi=np.arange(4), squared_costs=np.zeros(4))
+        assert a != 3
 
 
 class TestNormalize:
@@ -346,3 +358,8 @@ class TestRng:
     def test_negative_seed_is_named(self, derive):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             derive(-1, 2)
+
+    @pytest.mark.parametrize("derive", [derive_rng, derive_seed])
+    def test_non_integer_seed_is_named(self, derive):
+        with pytest.raises(TypeError, match="seed must be an integer, got 5.0"):
+            derive(5.0, 2)

@@ -254,6 +254,46 @@ class TestSrrmMatch:
         result = srrm_match(X, X, SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=1))
         assert result.value == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rounds", 2.5), ("merge_runs", 2.5), ("anchors_per_point", 1.5), ("hungarian_cap", 10.5),
+         ("seed", 5.0), ("rounds", "3")],
+    )
+    def test_non_integer_count_is_named_at_construction(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            SrrmConfig(**{field: value})
+
+    def test_integer_types_are_accepted(self):
+        cfg = SrrmConfig(rounds=np.int64(2), anchors_per_point=np.int32(1), merge_runs=np.uint8(3),
+                         hungarian_cap=np.int64(64), seed=np.uint64(4))
+        rng = np.random.default_rng(11)
+        X, Y = PointCloud(rng.random((30, 2))), PointCloud(rng.random((30, 2)))
+        result = srrm_match(X, Y, cfg)
+        assert result == srrm_match(X, Y, SrrmConfig(rounds=2, anchors_per_point=1, merge_runs=3,
+                                                     hungarian_cap=64, seed=4))
+
+    def test_call_arguments_are_named_when_not_integers(self):
+        rng = np.random.default_rng(12)
+        X, Y = PointCloud(rng.random((8, 2))), PointCloud(rng.random((8, 2)))
+        with pytest.raises(TypeError, match="^runs must be an integer, got 2.5$"):
+            merged_rrm(X, Y, 2.5)
+        with pytest.raises(TypeError, match="^k must be an integer, got 1.5$"):
+            sample_near(X, 1.5)
+        # One run draws no variant, yet its seed is checked all the same.
+        with pytest.raises(TypeError, match="^seed must be an integer, got 5.0$"):
+            merged_rrm(X, Y, 1, seed=5.0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            merged_rrm(X, Y, 1, seed=-1)
+
+    def test_results_compare_and_hash_by_value(self):
+        rng = np.random.default_rng(13)
+        X, Y = PointCloud(rng.random((40, 2))), PointCloud(rng.random((40, 2)))
+        cfg = SrrmConfig(rounds=3, anchors_per_point=1, merge_runs=3, seed=5)
+        a, b = srrm_match(X, Y, cfg), srrm_match(X, Y, cfg)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != dataclasses.replace(a, guard_applied=not a.guard_applied)
+        assert a != dataclasses.replace(a, plan=rrm_plan(X, Y))
+
     def test_zero_rounds_rejected_naming_the_merged_plan(self):
         with pytest.raises(ValueError, match=r"rounds must be >= 1; the zero-round plan is "
                            r"merged_rrm\(X, Y, merge_runs, seed\)"):
