@@ -33,7 +33,6 @@ from rrmatch.diagnostics import (
     threshold_consistency_experiment,
 )
 from rrmatch.matching import (
-    RunVariant,
     exact_w2,
     hungarian,
     merge_pair,
@@ -67,7 +66,6 @@ __all__ = [
     "LastMileReport",
     "Plan",
     "PointCloud",
-    "RunVariant",
     "SizeMismatchError",
     "SrrmConfig",
     "SrrmResult",

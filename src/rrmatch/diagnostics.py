@@ -246,7 +246,7 @@ class UniformPopulation:
             rem[:, j] = np.where(digit, 2.0 * rem[:, j] - 1.0, 2.0 * rem[:, j])
         return codes
 
-    def tree_points(self, ts: np.ndarray, steps: int = _WALK_STEPS) -> np.ndarray:
+    def tree_points(self, ts: np.ndarray) -> np.ndarray:
         """Curve points T(t): de-interleave the binary digits of each t."""
         ts = np.asarray(ts, dtype=np.float64)
         if (ts < 0.0).any() or (ts > 1.0).any():
@@ -254,7 +254,7 @@ class UniformPopulation:
         rem = ts.copy()
         out = np.zeros((ts.shape[0], self.d))
         place = np.full(self.d, 0.5)
-        for p in range(steps):
+        for p in range(_WALK_STEPS):
             j = p % self.d
             digit = rem > 0.5
             out[digit, j] += place[j]

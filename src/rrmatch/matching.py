@@ -1,19 +1,18 @@
 """Rank-matching plans, multi-run merging, and the exact assignment oracle.
 
 The basic plan pairs the two clouds rank by rank along their tree-curve
-orders.  Diversity for merging comes from run variants: an orthogonal rotation
-applied identically to both clouds, which changes the partition (hence the
-plan) but never the cost function -- costs are always evaluated in the
-original coordinates.  On large clouds a plan's two orderings run on two
-threads when the process may use more than one CPU; plans are the same either
-way.
+orders.  Diversity for merging comes from runs, each named by (seed, index):
+an orthogonal rotation applied identically to both clouds, which changes the
+partition (hence the plan) but never the cost function -- costs are always
+evaluated in the original coordinates.  On large clouds a plan's two
+orderings run on two threads when the process may use more than one CPU;
+plans are the same either way.
 
-Run variants are cached per ``(d, seed, index)``, up to 256 of them.  A
+Run rotations are cached per ``(d, seed, index)``, up to 256 of them.  A
 ``merged_rrm`` call with a seed already used in the process skips the
-variants' draws, QR and orthogonality checks; SRRM's screening derives the
-same round seeds for every pair, so its calls after the first reuse them.
-A cold first call with a new seed builds every variant and gains nothing
-from the cache.
+rotations' draws and QR; SRRM's screening derives the same round seeds for
+every pair, so its calls after the first reuse them.  A cold first call with
+a new seed draws every rotation and gains nothing from the cache.
 
 Merging labels the cycles of one plan against the other with numpy alone:
 by pointer doubling below 2**13 points and by a splitter walk from there on.
@@ -27,7 +26,6 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +35,6 @@ from rrmatch.core import (
     PointCloud,
     RngSeed,
     SizeMismatchError,
-    _ArrayFields,
     _centred,
     _check_integer,
     _check_pair,
@@ -47,9 +44,7 @@ from rrmatch.core import (
 )
 from rrmatch.partition import tree_curve_order
 
-_ORTHOGONALITY_TOL = 1e-10
-
-#: Derivation-path tag for per-run variant randomness.
+#: Derivation-path tag for per-run rotation randomness.
 _TAG_VARIANT = 1
 
 #: Smallest n at which rrm_plan orders X and Y on two threads.  One plan took
@@ -58,7 +53,7 @@ _OVERLAP_MIN_N = 2**15
 
 #: Smallest n at which _cycle_labels walks the permutation instead of pointer
 #: doubling, and the walk's splitter stride.  Median µs per labelling of merge
-#: permutations of uniform d=2 pairs (identity against one random variant, 3-5
+#: permutations of uniform d=2 pairs (identity against one random run, 3-5
 #: pairs per size, 2-vCPU Xeon), doubling / walk: 213/294 at 3000, 223/248 at
 #: 4096, 244/255 at 5000, 424/415 at 6000, 527/455 at 7000, 586/516 at 2**13,
 #: 1099/701 at 2**14 and 2415/788 at 2**15; 2**13 is the first power of two
@@ -83,55 +78,26 @@ _WARM_OMEGA = 1.8
 EXACT_CAP = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class RunVariant(_ArrayFields):
-    """One randomized run: an orthogonal rotation shared by both clouds.
+@functools.lru_cache(maxsize=256)
+def _rotation(d: int, seed: RngSeed, index: int) -> np.ndarray:
+    """The read-only d×d rotation of run ``index`` under ``seed``.
 
-    The identity variant reproduces the canonical plan.  ``rotation`` is
-    stored as a read-only float64 copy of the array passed in, so a variant
-    stays what was checked; a non-finite or non-orthogonal rotation is
-    rejected.  :meth:`identity` and :meth:`random` are pure functions of
-    their arguments and keep their last 256 variants, which callers share.
-    Their caches key on argument types too, so a seed the generator rejects,
-    such as ``5.0``, raises even after the variant of seed 5 was cached.
+    Run 0 is the identity for every seed.  Run i >= 1 is a Haar-random
+    rotation drawn from ``derive_rng(seed, _TAG_VARIANT, i)``, its rows rolled
+    by a random start: rolling the rows by ``start`` permutes the rotated
+    coordinates' columns, so the build splits first along the Haar rotation's
+    axis ``start`` and cycles on from there.  A pure function of its
+    arguments, which the caller checks; the last 256 rotations are kept.
     """
-
-    rotation: np.ndarray
-
-    def __post_init__(self) -> None:
-        rot = np.array(self.rotation, dtype=np.float64, order="C")
-        if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
-            raise ValueError(f"rotation must be square, got shape {rot.shape}")
-        bad = ~np.isfinite(rot)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"rotation has a non-finite entry {rot[i, j]} at ({i}, {j})")
-        gram_err = np.abs(rot.T @ rot - np.eye(rot.shape[0])).max()
-        if gram_err > _ORTHOGONALITY_TOL:
-            raise ValueError(f"rotation is not orthogonal (|Q^T Q - I| = {gram_err:.3e})")
-        rot.flags.writeable = False
-        object.__setattr__(self, "rotation", rot)
-
-    @classmethod
-    @functools.lru_cache(maxsize=256, typed=True)
-    def identity(cls, d: int) -> "RunVariant":
-        return cls(rotation=np.eye(d))
-
-    @classmethod
-    @functools.lru_cache(maxsize=256, typed=True)
-    def random(cls, d: int, seed: RngSeed, index: int) -> "RunVariant":
-        """Haar-random rotation for run ``index``, its rows rolled by a random start.
-
-        Rolling the rows by ``start`` permutes the rotated coordinates'
-        columns, so the build splits first along the Haar rotation's axis
-        ``start`` and cycles on from there.
-        """
+    if index == 0:
+        rot = np.eye(d)
+    else:
         rng = derive_rng(seed, _TAG_VARIANT, index)
-        normals = rng.standard_normal((d, d))
-        q, r = np.linalg.qr(normals)
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
         q = q * np.sign(np.diag(r))  # sign correction makes QR output unique
-        start = int(rng.integers(d))
-        return cls(rotation=np.roll(q, -start, axis=0))
+        rot = np.roll(q, -int(rng.integers(d)), axis=0)
+    rot.flags.writeable = False
+    return rot
 
 
 def _usable_cpus() -> int:
@@ -142,12 +108,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) -> Plan:
-    """Rank-match the clouds along their tree-curve orders.
+def rrm_plan(X: PointCloud, Y: PointCloud, seed: RngSeed = 0, index: int = 0) -> Plan:
+    """Rank-match the clouds along their tree-curve orders: run ``index`` under ``seed``.
 
-    Both clouds are rotated by the variant's rotation (preserving all pairwise
-    distances), ordered independently, and paired rank by rank.  The cost is
-    accumulated in the original coordinates.
+    Both clouds are rotated by the run's rotation (:func:`_rotation`, which
+    preserves all pairwise distances), ordered independently, and paired rank
+    by rank.  The cost is accumulated in the original coordinates.  Run 0
+    uses the identity, so it is the canonical plan whatever the seed.
 
     From ``n >= 2**15`` points on, when more than one CPU is usable, Y is
     rotated and ordered on one short-lived helper thread while the calling
@@ -159,8 +126,11 @@ def rrm_plan(X: PointCloud, Y: PointCloud, variant: RunVariant | None = None) ->
     slower.
     """
     X, Y = _check_pair(X, Y)
-    variant = variant or RunVariant.identity(X.d)
-    rot = variant.rotation
+    _check_seed(seed)
+    _check_integer("index", index)
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
+    rot = _rotation(X.d, seed, index)
     if X.n >= _OVERLAP_MIN_N and _usable_cpus() > 1:
         with ThreadPoolExecutor(max_workers=1) as helper:
             future_y = helper.submit(lambda: tree_curve_order(Y.coords @ rot.T))
@@ -273,11 +243,11 @@ def merge_pair(p: Plan, q: Plan) -> Plan:
 
 
 def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Plan:
-    """Left-fold merge of ``runs`` single-run plans.
+    """Left-fold of :func:`merge_pair` over ``rrm_plan(X, Y, seed, i)`` for i < ``runs``.
 
-    Run 1 is the identity variant; runs 2..K use fresh random rotations
-    derived from the seed.  Variant i is a function of (seed, i) alone, so
-    the run sequences for K and K+1 are nested and the merged cost is
+    Run 0 is the canonical run; runs 1 to ``runs - 1`` use random rotations
+    derived from the seed.  Run i is a function of (seed, i) alone, so the
+    run sequences for K and K+1 runs are nested and the merged cost is
     nonincreasing in K for a fixed seed.
     """
     X, Y = _check_pair(X, Y)
@@ -285,11 +255,7 @@ def merged_rrm(X: PointCloud, Y: PointCloud, runs: int, seed: RngSeed = 0) -> Pl
     _check_seed(seed)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    merged = rrm_plan(X, Y, RunVariant.identity(X.d))
-    for i in range(1, runs):
-        candidate = rrm_plan(X, Y, RunVariant.random(X.d, seed, i))
-        merged = merge_pair(merged, candidate)
-    return merged
+    return functools.reduce(merge_pair, (rrm_plan(X, Y, seed, i) for i in range(runs)))
 
 
 def _warm_start(work: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ UNASSIGNED = -1
 #: Anchor spread when a subset has a single point and no neighbor distance.
 _LONE_POINT_SCALE = 0.01
 
-#: Derivation-path tags (kept disjoint from matching's variant tag).
+#: Derivation-path tags (kept disjoint from matching's rotation tag).
 _TAG_ROUND = 2
 _TAG_ANCHOR = 3
 
@@ -75,6 +75,8 @@ class SrrmConfig:
         if self.hungarian_cap < 0:
             raise ValueError("hungarian_cap must be >= 0")
         _check_seed(self.seed)
+        if not isinstance(self.guard, bool):
+            raise TypeError(f"guard must be a bool, got {self.guard!r}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,11 @@ def select(T: Plan, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pi = T.pi
     real_targets = pi[:m]
     good_src = np.flatnonzero(real_targets < m)
-    good = np.column_stack([good_src, real_targets[good_src]]).astype(np.int64)
-    keep_x = np.flatnonzero(real_targets >= m).astype(np.int64)
+    good = np.column_stack([good_src, real_targets[good_src]]).astype(np.int64, copy=False)
+    keep_x = np.flatnonzero(real_targets >= m).astype(np.int64, copy=False)
     hit_by_real = np.zeros(m, dtype=bool)
     hit_by_real[real_targets[good_src]] = True
-    keep_y = np.flatnonzero(~hit_by_real).astype(np.int64)
+    keep_y = np.flatnonzero(~hit_by_real).astype(np.int64, copy=False)
     return good, keep_x, keep_y
 
 

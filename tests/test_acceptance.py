@@ -19,7 +19,6 @@ from rrmatch.diagnostics import (
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import (
-    RunVariant,
     exact_w2,
     hungarian,
     merged_rrm,
@@ -300,7 +299,7 @@ def test_determinism():
                 srrm_match(X, Y, cfg).plan.pi.tobytes(),
                 srrm_match(X, Y, cfg).history,
                 sample_near(X, 2, seed=5).tobytes(),
-                RunVariant.random(3, seed=8, index=2).rotation.tobytes(),
+                rrm_plan(X, Y, seed=8, index=2).pi.tobytes(),
                 gen(GeneratorSpec(family="gaussian-pair", n=64, seed=13, t=0.4))[0].coords.tobytes(),
                 convergence_experiment(1, [64, 128], reps=2, seed=3),
                 threshold_consistency_experiment(2, 2, [128], reps=2, seed=3),

@@ -35,8 +35,8 @@ from rrmatch.matching import (
     _TAG_VARIANT,
     _WALK_MIN_N,
     _WALK_STRIDE,
-    RunVariant,
     _cycle_labels,
+    _rotation,
     _z_order,
     exact_plan,
     exact_w2,
@@ -88,19 +88,18 @@ class TestRrmPlan:
             rrm_plan(PointCloud(rng.random((4, 2))), PointCloud(rng.random((5, 2))))
 
     def test_cost_in_original_coordinates(self):
-        # A rotation variant changes the plan, never the cost functional.
+        # A rotated run changes the plan, never the cost functional.
         rng = np.random.default_rng(3)
         X, Y = _random_pair(rng, 40, 2)
-        variant = RunVariant.random(2, seed=9, index=1)
-        plan = rrm_plan(X, Y, variant)
+        plan = rrm_plan(X, Y, seed=9, index=1)
         assert plan.squared_cost_sum == pytest.approx(
             plan_squared_cost(X, Y, plan.pi), rel=1e-12
         )
 
 
-def _serial_rrm_plan(X, Y, variant):
+def _serial_rrm_plan(X, Y, seed, index):
     """rrm_plan as one thread computes it: X's ordering, then Y's."""
-    rot = variant.rotation
+    rot = _rotation(X.d, seed, index)
     pi = np.empty(X.n, dtype=np.int64)
     pi[tree_curve_order(X.coords @ rot.T)] = tree_curve_order(Y.coords @ rot.T)
     return Plan(pi=pi, squared_costs=_pair_costs(X.coords, Y.coords, pi))
@@ -117,14 +116,13 @@ class TestHelperThread:
     @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**16])
     def test_plans_match_serial_reference(self, n):
         X, Y = _random_pair(np.random.default_rng(n), n, 2)
-        variant = RunVariant.random(2, 3, 1)
-        plan, ref = rrm_plan(X, Y, variant), _serial_rrm_plan(X, Y, variant)
+        plan, ref = rrm_plan(X, Y, 3, 1), _serial_rrm_plan(X, Y, 3, 1)
         assert plan.pi.tobytes() == ref.pi.tobytes()
         assert plan.squared_cost_sum == ref.squared_cost_sum
 
-        ref = _serial_rrm_plan(X, Y, RunVariant.identity(2))
+        ref = _serial_rrm_plan(X, Y, 7, 0)
         for i in (1, 2):
-            ref = merge_pair(ref, _serial_rrm_plan(X, Y, RunVariant.random(2, 7, i)))
+            ref = merge_pair(ref, _serial_rrm_plan(X, Y, 7, i))
         merged = merged_rrm(X, Y, 3, seed=7)
         assert merged.pi.tobytes() == ref.pi.tobytes()
         assert merged.squared_cost_sum == ref.squared_cost_sum
@@ -166,7 +164,7 @@ class TestHelperThread:
         X = PointCloud(np.random.default_rng(1).random((n, 2)))
         Y = PointCloud(np.full((n, 2), 1.5e308))
         with pytest.raises(InvalidCloudError, match="non-finite coordinate"):
-            rrm_plan(X, Y, RunVariant.random(2, 0, 1))
+            rrm_plan(X, Y, 0, 1)
 
     def test_fork_child_after_parent_call(self):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -365,7 +363,7 @@ class TestMergePair:
         rng = np.random.default_rng(8)
         X, Y = _random_pair(rng, 15, 2)
         optimal = hungarian(X.coords, Y.coords)
-        other = rrm_plan(X, Y, RunVariant.random(2, seed=1, index=1))
+        other = rrm_plan(X, Y, seed=1, index=1)
         merged = merge_pair(optimal, other)
         assert merged.squared_cost_sum == pytest.approx(optimal.squared_cost_sum, rel=1e-12)
 
@@ -393,7 +391,7 @@ class TestMergePair:
         for _ in range(30):
             X, Y = _random_pair(rng, 24, 2)
             p = rrm_plan(X, Y)
-            q = rrm_plan(X, Y, RunVariant.random(2, seed=int(rng.integers(1 << 30)), index=1))
+            q = rrm_plan(X, Y, seed=int(rng.integers(1 << 30)), index=1)
             merged = merge_pair(p, q)
             assert merged.squared_cost_sum <= min(p.squared_cost_sum, q.squared_cost_sum) + 1e-12
 
@@ -862,53 +860,54 @@ class TestExactW2:
 
 
 class TestRunVariant:
-    def test_rotation_must_be_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            RunVariant(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rotation_must_be_finite(self, bad):
-        rot = np.eye(3)
-        rot[1, 2] = bad
-        with pytest.raises(ValueError, match=r"rotation has a non-finite entry .* at \(1, 2\)"):
-            RunVariant(rotation=rot)
+    """A run's variant is the rotation ``_rotation(d, seed, index)`` both clouds share."""
 
     def test_rotation_is_a_read_only_copy(self):
-        r = np.eye(2)
-        v = RunVariant(r)
-        r[0, 0] = 3.0
-        np.testing.assert_array_equal(v.rotation, np.eye(2))
-        assert v.rotation.flags.writeable is False
-        with pytest.raises(ValueError):
-            v.rotation[0, 0] = 3.0
+        # Callers share the cached array, so nobody may write to it.
+        for index in (0, 1):
+            rot = _rotation(2, 6, index)
+            assert rot.flags.writeable is False
+            with pytest.raises(ValueError):
+                rot[0, 0] = 3.0
 
     def test_variants_are_cached_and_equal_the_uncached_rule(self):
         for d, seed, index in [(1, 0, 1), (2, 5, 1), (3, 5, 2), (3, 12345, 7)]:
-            v = RunVariant.random(d, seed, index)
-            assert RunVariant.random(d, seed, index) is v
+            rot = _rotation(d, seed, index)
+            assert _rotation(d, seed, index) is rot
             draws = derive_rng(seed, _TAG_VARIANT, index)
             q, r = np.linalg.qr(draws.standard_normal((d, d)))
             q = q * np.sign(np.diag(r))
             want = np.roll(q, -int(draws.integers(d)), axis=0)
-            assert v.rotation.tobytes() == want.tobytes()
-        assert RunVariant.identity(3) is RunVariant.identity(3)
-        assert RunVariant.identity(3).rotation.tobytes() == np.eye(3).tobytes()
-        assert RunVariant.random.cache_info().maxsize == 256
-        assert RunVariant.identity.cache_info().maxsize == 256
+            assert rot.tobytes() == want.tobytes()
+        for seed in (0, 5, 12345):
+            assert _rotation(3, seed, 0).tobytes() == np.eye(3).tobytes()
+        assert _rotation(3, 5, 0) is _rotation(3, 5, 0)
+        assert _rotation.cache_info().maxsize == 256
 
     def test_invalid_seed_raises_on_every_call(self):
+        X, Y = _random_pair(np.random.default_rng(21), 8, 2)
         for _ in range(2):
-            with pytest.raises(ValueError, match="seed must be >= 0"):
-                RunVariant.random(2, -1, 1)
-        RunVariant.random(2, 5, 1)
-        with pytest.raises(TypeError):
-            RunVariant.random(2, 5.0, 1)
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                rrm_plan(X, Y, -1, 1)
+        rrm_plan(X, Y, 5, 1)
+        with pytest.raises(TypeError, match="seed must be an integer, got 5.0"):
+            rrm_plan(X, Y, 5.0, 1)
+
+    @pytest.mark.parametrize(
+        "index, error, message",
+        [(-1, ValueError, "index must be >= 0, got -1"),
+         (1.0, TypeError, "index must be an integer, got 1.0"),
+         ("1", TypeError, "index must be an integer, got '1'")],
+    )
+    def test_invalid_index_is_named(self, index, error, message):
+        X, Y = _random_pair(np.random.default_rng(22), 8, 2)
+        with pytest.raises(error, match=message):
+            rrm_plan(X, Y, 0, index)
 
     def test_random_rotation_is_orthogonal(self):
         for d in (1, 2, 3, 7):
-            v = RunVariant.random(d, seed=4, index=2)
-            gram = v.rotation.T @ v.rotation
-            np.testing.assert_allclose(gram, np.eye(d), atol=1e-10)
+            rot = _rotation(d, 4, 2)
+            np.testing.assert_allclose(rot.T @ rot, np.eye(d), atol=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_random_variant_is_a_start_axis_cycle(self, d):
@@ -927,25 +926,47 @@ class TestRunVariant:
             pi[tree_curve_order((X.coords @ q.T)[:, cycle])] = tree_curve_order(
                 (Y.coords @ q.T)[:, cycle]
             )
-            plan = rrm_plan(X, Y, RunVariant.random(d, 5, index))
+            plan = rrm_plan(X, Y, 5, index)
             assert plan.pi.tobytes() == pi.tobytes()
             assert plan.squared_cost_sum == plan_squared_cost(X, Y, pi)
 
-    def test_equal_variants_compare_and_hash_alike(self):
-        a, b = RunVariant(np.eye(2)), RunVariant(np.array([[1.0, -0.0], [0.0, 1.0]]))
-        assert a == b and not a != b
-        assert hash(a) == hash(b)
-        assert {a, b} == {a} and RunVariant.identity(2) in {a}
-        assert a != RunVariant(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert a != RunVariant(np.eye(3))
-        assert a != 3
+    @pytest.mark.parametrize(
+        "d, seed, index, digest",
+        [(2, 0, 1, "837b9109962b246d749f3f2eead0790e79af86229a783c5560e7c2374807388e"),
+         (2, 7, 3, "abc02940dd69f04736e65458e3c299b74ee2edc37e64222a7843db048a265790"),
+         (3, 90210, 2, "e9212d819e7259d11b888cb96efb2cfc77db1048b73c9250a47d549fb1b715a5"),
+         (5, 1, 7, "87b22823e36d656a72245ab92e12aa427457f632651eed004d2fe816b9faaa2d")],
+    )
+    def test_rotated_run_is_pinned(self, d, seed, index, digest):
+        # Taken through the former ``RunVariant.random(d, seed, index)``, before
+        # rrm_plan drew its own rotation.  The rotation comes from LAPACK's QR,
+        # but the plan sees it only through the two orderings.
+        rng = np.random.default_rng(100 + d)
+        X, Y = _random_pair(rng, 500, d)
+        plan = rrm_plan(X, Y, seed, index)
+        h = hashlib.sha256(plan.pi.astype("<i8").tobytes())
+        h.update(plan.squared_costs.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_identity_variant_reproduces_canonical_plan(self):
         rng = np.random.default_rng(20)
-        X, Y = PointCloud(rng.random((16, 2))), PointCloud(rng.random((16, 2)))
-        np.testing.assert_array_equal(
-            rrm_plan(X, Y).pi, rrm_plan(X, Y, RunVariant.identity(2)).pi
-        )
+        X, Y = _random_pair(rng, 16, 2)
+        canonical = rrm_plan(X, Y)
+        for seed in (0, 3, 2**40):
+            plan = rrm_plan(X, Y, seed, 0)
+            assert plan.pi.tobytes() == canonical.pi.tobytes()
+            assert plan.squared_costs.tobytes() == canonical.squared_costs.tobytes()
+
+    @pytest.mark.parametrize("n, d, runs", [(1, 2, 3), (300, 2, 8), (1000, 3, 5), (6000, 2, 4)])
+    def test_merged_is_the_fold_of_its_runs(self, n, d, runs):
+        X, Y = _random_pair(np.random.default_rng(n + d), n, d)
+        fold = rrm_plan(X, Y, 17, 0)
+        for i in range(1, runs):
+            fold = merge_pair(fold, rrm_plan(X, Y, 17, i))
+        merged = merged_rrm(X, Y, runs, 17)
+        assert merged.pi.tobytes() == fold.pi.tobytes()
+        assert merged.squared_costs.tobytes() == fold.squared_costs.tobytes()
+        assert merged.squared_cost_sum == fold.squared_cost_sum
 
 
 #: Runs in a fresh interpreter: imports the package and the CLI, makes one

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rrmatch import partition
 from rrmatch.core import PointCloud
 from rrmatch.generators import GeneratorSpec, gen
-from rrmatch.matching import RunVariant, merged_rrm, rrm_plan
+from rrmatch.matching import _rotation, merged_rrm, rrm_plan
 from rrmatch.partition import (
     MAX_DEPTH,
     _addresses,
@@ -376,7 +376,7 @@ class TestThreadSafety:
         sys.setswitchinterval(1e-6)
         try:
             _position_codes.cache_clear()
-            RunVariant.random.cache_clear()
+            _rotation.cache_clear()
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [pool.submit(fn, *a) for a in args]
                 return [f.result(timeout=120) for f in futures]
@@ -401,7 +401,7 @@ class TestThreadSafety:
         assert [p.pi.tobytes() for p in threaded] == serial
 
     def test_pool_merged_plans_match_serial_with_cold_variant_cache(self):
-        # The first two calls derive the same variants at once into an emptied cache.
+        # The first two calls draw the same rotations at once into an emptied cache.
         rng = np.random.default_rng(19)
         pairs = [(PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2)))) for n in (500, 2000)]
         args = [(X, Y, 5, seed) for seed in (3, 4) for X, Y in pairs]

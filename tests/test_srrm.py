@@ -22,7 +22,6 @@ from rrmatch.core import (
 )
 from rrmatch.generators import GeneratorSpec, gen
 from rrmatch.matching import (
-    RunVariant,
     exact_plan,
     exact_w2,
     hungarian,
@@ -263,6 +262,13 @@ class TestSrrmMatch:
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             SrrmConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, None])
+    def test_non_bool_guard_is_named_at_construction(self, value):
+        # A truthy string such as 'no' would otherwise switch the guard on.
+        with pytest.raises(TypeError, match=f"^guard must be a bool, got {value!r}$"):
+            SrrmConfig(guard=value)
+        assert SrrmConfig(guard=False).guard is False
+
     def test_integer_types_are_accepted(self):
         cfg = SrrmConfig(rounds=np.int64(2), anchors_per_point=np.int32(1), merge_runs=np.uint8(3),
                          hungarian_cap=np.int64(64), seed=np.uint64(4))
@@ -279,7 +285,7 @@ class TestSrrmMatch:
             merged_rrm(X, Y, 2.5)
         with pytest.raises(TypeError, match="^k must be an integer, got 1.5$"):
             sample_near(X, 1.5)
-        # One run draws no variant, yet its seed is checked all the same.
+        # One run draws no random rotation, yet its seed is checked all the same.
         with pytest.raises(TypeError, match="^seed must be an integer, got 5.0$"):
             merged_rrm(X, Y, 1, seed=5.0)
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -480,14 +486,14 @@ class TestSrrmMatch:
 
 def _every_builder(X, Y, seed):
     """One plan from each function of the library that builds a Plan."""
-    variant = rrm_plan(X, Y, RunVariant.random(X.d, seed, 1))
-    partial = variant.pi.copy()
+    rotated = rrm_plan(X, Y, seed, 1)
+    partial = rotated.pi.copy()
     partial[derive_rng(seed, 5).random(X.n) < 0.3] = UNASSIGNED
     cfg = SrrmConfig(rounds=3, anchors_per_point=2, merge_runs=4, seed=seed)
     return {
-        "rrm_plan": variant,
+        "rrm_plan": rotated,
         "merged_rrm": merged_rrm(X, Y, 4, seed),
-        "merge_pair": merge_pair(rrm_plan(X, Y), variant),
+        "merge_pair": merge_pair(rrm_plan(X, Y), rotated),
         "hungarian": hungarian(X.coords, Y.coords),
         "exact_plan": exact_plan(X, Y),
         "finalize_hungarian": finalize_hungarian(X, Y, partial),
